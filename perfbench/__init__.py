@@ -1,0 +1,5 @@
+"""The repository benchmark: cold recording and warm design-space pricing.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload; see ``perfbench/README.md``.
+"""
