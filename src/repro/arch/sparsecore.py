@@ -97,7 +97,7 @@ class SparseCoreModel:
 
     def cost(self, trace: Trace | FrozenTrace,
              counters=NULL_COUNTERS) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         c = self.config
 
         # Value ops: SVPU FLOPs overlap the SU's key walk; take the max

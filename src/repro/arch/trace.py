@@ -1,11 +1,12 @@
 """Compact operation traces shared by all machine models.
 
 An application kernel runs **once** against a recording context
-(:mod:`repro.machine`) and produces a :class:`Trace`: one record per
-stream operation plus aggregate scalar-work counters.  Every machine
-model (CPU, SparseCore at any SU count / bandwidth, and the accelerator
-baselines) then costs the same trace — the methodology the paper itself
-uses for its baselines (Section 6.1).
+(:mod:`repro.machine`) and produces a trace: one record per stream
+operation plus aggregate scalar-work counters, frozen into a
+:class:`FrozenTrace`.  Every machine model (CPU, SparseCore at any SU
+count / bandwidth, and the accelerator baselines) then costs the same
+trace — the methodology the paper itself uses for its baselines
+(Section 6.1).
 
 Records are stored as parallel scalar lists (frozen to numpy arrays)
 rather than object-per-op: a single GPM run can produce millions of
@@ -51,11 +52,13 @@ class Trace:
     :meth:`add_cpu_scalar` / :meth:`add_sc_scalar` for surrounding
     scalar work, then :meth:`freeze` before handing to cost models.
 
-    Recording is the hottest path of the whole harness (one call per
-    stream operation, millions per run), so ops are stored as a single
-    list of per-op row tuples — one pre-bound ``append`` per op instead
-    of eleven column appends — and decomposed into columnar numpy
-    arrays once, at :meth:`freeze` time.
+    Each op arrives already analysed (:class:`OpStats`), which is what
+    the instruction-level executor needs: its operands are views of
+    simulated memory that later instructions may overwrite.  The
+    recording :class:`~repro.machine.context.Machine` uses the deferred
+    :class:`~repro.record.columnar.ColumnarTrace` instead, which freezes
+    to the same arrays.  Ops are stored as one list of per-op row tuples
+    and decomposed into columnar numpy arrays once, at :meth:`freeze`.
     """
 
     __slots__ = ("name", "_rows", "_append_row",
@@ -197,6 +200,10 @@ class FrozenTrace:
     @property
     def num_ops(self) -> int:
         return int(self.kind.size)
+
+    def freeze(self) -> "FrozenTrace":
+        """Already frozen: cost models call ``freeze()`` on any trace."""
+        return self
 
     def save(self, path, **extra_arrays) -> None:
         """Persist to ``.npz`` for offline analysis or re-pricing.

@@ -9,7 +9,7 @@ Each backend returns the *canonical result* of a case:
 * GPM cases -> ``("count", n)``.
 * tensor cases -> ``("dense", shape, entries)``.
 
-The stream family runs through five genuinely distinct paths:
+The stream family runs through six genuinely distinct paths:
 
 ``functional``
     the vectorised kernels in :mod:`repro.streams.ops` (ground truth
@@ -22,15 +22,16 @@ The stream family runs through five genuinely distinct paths:
     parallel-comparison engine (key sets from stepped emission, value
     reductions applied sequentially to its emitted matches);
 ``machine``
-    the recording :class:`~repro.machine.context.Machine` whose
-    counting ops derive lengths from merge-run *analytics*
-    (:func:`~repro.streams.runstats.analyze_pair`), not from the
+    the recording :class:`~repro.machine.context.Machine`; its count
+    nodes are answered from the frozen trace's ``out_len`` column, i.e.
+    from the batched merge-run analytics of
+    :func:`~repro.record.columnar.analyze_segments`, not from the
     functional kernels;
-``machine_columnar``
-    the same machine on the deferred columnar recording backend
-    (:class:`~repro.record.columnar.ColumnarTrace`), whose batched
-    :func:`~repro.record.columnar.analyze_segments` analytics must
-    agree with every other path;
+``runstats``
+    per-op merge-run analytics
+    (:func:`~repro.streams.runstats.analyze_pair`, the independent
+    analyser the batch pass is checked against) for the count nodes,
+    over operand streams from the functional kernels;
 ``executor``
     the instruction-level :class:`~repro.arch.executor.StreamExecutor`
     driven purely through the ISA — ``S_VREAD`` from a
@@ -74,8 +75,20 @@ def _combine_scalar(valop: str, va: float, vb: float) -> float:
     raise ValueError(f"unknown value op {valop!r}")
 
 
-def run_functional(case: StreamCase) -> list:
-    """The vectorised kernels of :mod:`repro.streams.ops`."""
+def _kernel_count(kind: str, a_keys, b_keys, bound: int) -> int:
+    from repro.streams import ops
+
+    if kind == "merge":
+        return ops.merge_count(a_keys, b_keys)
+    return getattr(ops, f"{kind}_count")(a_keys, b_keys, bound)
+
+
+def run_functional(case: StreamCase, count=_kernel_count) -> list:
+    """The vectorised kernels of :mod:`repro.streams.ops`.
+
+    ``count(kind, a_keys, b_keys, bound)`` answers the count nodes
+    (``kind`` in intersect/subtract/merge); the ``runstats`` backend
+    swaps in merge-run analytics there."""
     from repro.streams import ops
 
     graph = case.graph()
@@ -85,10 +98,8 @@ def run_functional(case: StreamCase) -> list:
         k = node.kind
         if k == "nestinter":
             s = slots[node.a][0]
-            total = sum(
-                ops.intersect_count(s, graph.neighbors(s_i), int(s_i))
-                for s_i in s.tolist()
-            )
+            total = sum(count("intersect", s, graph.neighbors(s_i), int(s_i))
+                        for s_i in s.tolist())
             slots.append(None)
             results.append(("count", int(total)))
             continue
@@ -106,17 +117,14 @@ def run_functional(case: StreamCase) -> list:
             out = ops.merge(a_keys, b_keys)
             slots.append((out, None))
             results.append(canonical_keys(out))
-        elif k == "intersect_count":
+        elif k in ("intersect_count", "subtract_count"):
             slots.append(None)
-            results.append(("count", ops.intersect_count(a_keys, b_keys,
-                                                         node.bound)))
-        elif k == "subtract_count":
-            slots.append(None)
-            results.append(("count", ops.subtract_count(a_keys, b_keys,
-                                                        node.bound)))
+            results.append(("count", int(count(k.removesuffix("_count"),
+                                               a_keys, b_keys, node.bound))))
         elif k == "merge_count":
             slots.append(None)
-            results.append(("count", ops.merge_count(a_keys, b_keys)))
+            results.append(("count", int(count("merge", a_keys, b_keys,
+                                               ops.UNBOUNDED))))
         elif k == "vinter":
             value = ops.vinter(a_keys, slots[node.a][1],
                                b_keys, slots[node.b][1], node.valop)
@@ -130,6 +138,18 @@ def run_functional(case: StreamCase) -> list:
         else:
             raise ValueError(k)
     return results
+
+
+def run_runstats(case: StreamCase) -> list:
+    """Per-op :func:`~repro.streams.runstats.analyze_pair` analytics for
+    the count nodes; every other node is left to the other backends."""
+    from repro.streams.runstats import analyze_pair
+
+    def count(kind, a_keys, b_keys, bound):
+        return analyze_pair(a_keys, b_keys, bound).out_len(kind)
+
+    return [r if r[0] == "count" else None
+            for r in run_functional(case, count)]
 
 
 def run_pyref(case: StreamCase) -> list:
@@ -257,8 +277,9 @@ def run_stream_unit(case: StreamCase) -> list:
 
 
 def run_machine(case: StreamCase, machine=None) -> list:
-    """The recording machine context; counts come from merge-run
-    analytics rather than the functional kernels.
+    """The recording machine context.  Count nodes are answered from
+    the frozen trace's ``out_len`` column (the batched merge-run
+    analytics), not from the functional counts the machine returns.
 
     ``machine`` lets callers supply their own (e.g. a probed machine
     whose trace/counters they want to inspect afterwards, as the obs
@@ -274,12 +295,25 @@ def run_machine(case: StreamCase, machine=None) -> list:
                                          ("dt-in", case.seed, i),
                                          priority=inp.priority))
     results = []
-    for node in case.nodes:
+    #: count node index -> [start, end) of the trace ops it recorded
+    spans: dict[int, tuple[int, int]] = {}
+    for j, node in enumerate(case.nodes):
         k = node.kind
-        if k == "nestinter":
-            total = machine.nest_intersect(slots[node.a], graph)
+        if k == "nestinter" or k.endswith("_count"):
+            start = machine.trace.num_ops
+            if k == "nestinter":
+                machine.nest_intersect(slots[node.a], graph)
+            elif k == "intersect_count":
+                machine.intersect_count(slots[node.a], slots[node.b],
+                                        node.bound)
+            elif k == "subtract_count":
+                machine.subtract_count(slots[node.a], slots[node.b],
+                                       node.bound)
+            else:
+                machine.merge_count(slots[node.a], slots[node.b])
+            spans[j] = (start, machine.trace.num_ops)
             slots.append(None)
-            results.append(("count", int(total)))
+            results.append(None)  # filled in from the frozen trace
             continue
         a, b = slots[node.a], slots[node.b]
         if k == "intersect":
@@ -288,20 +322,6 @@ def run_machine(case: StreamCase, machine=None) -> list:
             out = machine.subtract(a, b, node.bound)
         elif k == "merge":
             out = machine.merge(a, b)
-        elif k == "intersect_count":
-            slots.append(None)
-            results.append(("count", machine.intersect_count(a, b,
-                                                             node.bound)))
-            continue
-        elif k == "subtract_count":
-            slots.append(None)
-            results.append(("count", machine.subtract_count(a, b,
-                                                            node.bound)))
-            continue
-        elif k == "merge_count":
-            slots.append(None)
-            results.append(("count", machine.merge_count(a, b)))
-            continue
         elif k == "vinter":
             slots.append(None)
             results.append(("value",
@@ -316,6 +336,9 @@ def run_machine(case: StreamCase, machine=None) -> list:
             raise ValueError(k)
         slots.append(out)
         results.append(canonical_keys(out.keys))
+    out_len = machine.trace.freeze().out_len
+    for j, (start, end) in spans.items():
+        results[j] = ("count", int(out_len[start:end].sum()))
     return results
 
 
@@ -410,28 +433,12 @@ def run_executor(case: StreamCase) -> list:
     return results
 
 
-def run_machine_columnar(case: StreamCase) -> list:
-    """The machine on the columnar recording backend.
-
-    Counting ops answer through the functional kernels while the
-    *recording* is deferred into :func:`analyze_segments` batches —
-    freezing afterwards proves the batched analytics agree with the
-    inline row path on real op sequences (the value checks here, the
-    trace-byte checks in tests/record/)."""
-    from repro.machine.context import Machine
-
-    machine = Machine(name=f"difftest-{case.seed}", backend="columnar")
-    results = run_machine(case, machine)
-    machine.trace.freeze()  # exercise the batch analyzer end-to-end
-    return results
-
-
 STREAM_BACKENDS = {
     "functional": run_functional,
     "pyref": run_pyref,
     "stream_unit": run_stream_unit,
     "machine": run_machine,
-    "machine_columnar": run_machine_columnar,
+    "runstats": run_runstats,
     "executor": run_executor,
 }
 
@@ -449,16 +456,14 @@ def gpm_bruteforce(case: GpmCase):
     return ("count", int(count))
 
 
-def _gpm_plan(case: GpmCase, use_nested: bool, backend: str = "rows"):
+def _gpm_plan(case: GpmCase, use_nested: bool):
     from repro.gpm.compiler import compile_pattern
     from repro.machine.context import Machine
 
     compiled = compile_pattern(case.pattern(),
                                vertex_induced=case.vertex_induced,
                                use_nested=use_nested)
-    machine = Machine(name=f"difftest-{case.seed}", backend=backend)
-    count = compiled.count(case.graph(), machine)
-    machine.trace.freeze()  # columnar: force the deferred batch analysis
+    count = compiled.count(case.graph(), Machine(name=f"difftest-{case.seed}"))
     return ("count", int(count))
 
 
@@ -468,11 +473,6 @@ def gpm_plan(case: GpmCase):
 
 def gpm_plan_nested(case: GpmCase):
     return _gpm_plan(case, use_nested=True)
-
-
-def gpm_plan_columnar(case: GpmCase):
-    """The nested plan recorded through the columnar backend."""
-    return _gpm_plan(case, use_nested=True, backend="columnar")
 
 
 def gpm_networkx(case: GpmCase):
@@ -499,7 +499,6 @@ GPM_BACKENDS = {
     "bruteforce": gpm_bruteforce,
     "plan": gpm_plan,
     "plan_nested": gpm_plan_nested,
-    "plan_columnar": gpm_plan_columnar,
     "networkx": gpm_networkx,
 }
 

@@ -146,8 +146,7 @@ def _sensitivity(rows: list[dict], axis_fields) -> dict:
 
 def run_sweep(workloads, axes, *, preset: str = "paper",
               datasets: dict | None = None, scale: float = 1.0,
-              workers: int = 1, cache_dir=None,
-              backend: str | None = None) -> SweepReport:
+              workers: int = 1, cache_dir=None) -> SweepReport:
     """Price ``workloads`` at every grid point of ``axes``.
 
     ``axes`` is a sequence of :class:`~repro.explore.axes.Axis` or
@@ -197,8 +196,7 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         record_jobs = [RunJob(spec.family, spec.app, dataset, eff_scale)
                        for spec, dataset, eff_scale in specs]
         record_report = run_jobs_report(record_jobs, workers=workers,
-                                        cache_dir=cache.root,
-                                        backend=backend)
+                                        cache_dir=cache.root)
 
         # Phase 2 — one pricing job per (workload, design point).
         point_jobs = []
@@ -210,8 +208,7 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
                 point_jobs.append(job)
                 job_meta[job_key(job)] = (spec, dataset, eff_scale, point)
         point_report = run_jobs_report(point_jobs, workers=workers,
-                                       cache_dir=cache.root,
-                                       backend=backend)
+                                       cache_dir=cache.root)
 
         entries_after = cache.stats()["entries"]
     finally:

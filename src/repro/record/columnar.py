@@ -1,10 +1,11 @@
-"""Columnar recording backend: whole-operation capture, batch analysis.
+"""Columnar recording: whole-operation capture, batch analysis.
 
-The row-tuple :class:`~repro.arch.trace.Trace` pays one
-:func:`~repro.streams.runstats.analyze_pair` call per stream operation
-— a handful of numpy dispatches (or a pure-Python merge walk) whose
-fixed overhead dominates cold recording.  :class:`ColumnarTrace`
-decouples traversal from analysis instead: recording an op only stores
+Analysing each stream operation as it is recorded costs one
+:func:`~repro.streams.runstats.analyze_pair` call per op — a handful
+of numpy dispatches (or a pure-Python merge walk) whose fixed overhead
+would dominate cold recording.  :class:`ColumnarTrace`, the trace every
+:class:`~repro.machine.context.Machine` records into, decouples
+traversal from analysis instead: recording an op only stores
 references to its (bound-truncated) key arrays plus the scalar operands
 (kind, burst id, memory charges), and the merge-run statistics of *all*
 pending operations are computed in one vectorised pass at
@@ -22,12 +23,12 @@ terminal-run exemption of the intersection cycle count.
 
 :meth:`ColumnarTrace.freeze` emits a regular
 :class:`~repro.arch.trace.FrozenTrace`: same columns, same dtypes, same
-values as the row backend, so serialized payloads are byte-identical
-and every downstream consumer (pricing, cost models, the run cache) is
-untouched.  The trace *file* format therefore stays at v2; what changes
-is the cache key schema (the recording backend is part of the
-fingerprint), tracked by
-:data:`~repro.perf.cache.CACHE_FORMAT_VERSION`.
+values as the eager :class:`~repro.arch.trace.Trace` (which the
+instruction-level executor still records into, and which
+``tests/record/`` compares against byte for byte), so every downstream
+consumer (pricing, cost models, the run cache) is untouched.  The trace
+*file* format stays at v2; the cache key carries no recording choice
+(:data:`~repro.perf.cache.CACHE_FORMAT_VERSION` 4).
 """
 
 from __future__ import annotations
@@ -149,15 +150,14 @@ def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
 
 
 class ColumnarTrace:
-    """Deferred-analysis trace with the :class:`Trace` recording API.
+    """Deferred-analysis trace with the :class:`~repro.arch.trace.Trace`
+    recording API.
 
     Scalar accounting (:meth:`add_scalar` and friends), burst ids, and
-    :meth:`freeze` behave exactly like the row backend; the per-op
-    entry point is :meth:`add_op_keys`, which captures operand *arrays*
-    instead of pre-computed :class:`~repro.streams.runstats.OpStats`.
+    :meth:`freeze` behave exactly like ``Trace``; the per-op entry point
+    is :meth:`add_op_keys`, which captures operand *arrays* instead of
+    pre-computed :class:`~repro.streams.runstats.OpStats`.
     """
-
-    backend = "columnar"
 
     __slots__ = ("name", "shared_scalar_instrs", "cpu_only_scalar_instrs",
                  "sc_only_scalar_instrs", "_next_burst", "_frozen",

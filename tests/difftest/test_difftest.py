@@ -70,6 +70,9 @@ class TestOracle:
         parts = report.backend_participation["stream"]
         assert set(parts) == set(STREAM_BACKENDS)
         assert all(count > 0 for count in parts.values())
+        # Both merge-run analysers are value-compared: the machine's
+        # batched trace analysis and the per-op analyze_pair.
+        assert {"machine", "runstats"} <= set(parts)
 
     def test_gpm_and_tensor_hit_three_plus_backends(self):
         report = run_sweep(n_cases=24, root_seed=2, sizes=SMOKE,

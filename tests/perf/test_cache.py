@@ -111,7 +111,7 @@ class TestRoundTrip:
 
 class TestFormatVersionReporting:
     """``stats``/``fsck`` must break entries down per trace-format
-    version so a key-schema bump (v2 -> v3, the backend joining the
+    version so a key-schema bump (v3 -> v4, the backend leaving the
     fingerprint) is visible instead of silently reading as misses."""
 
     def _plant(self, cache, version):
@@ -129,15 +129,19 @@ class TestFormatVersionReporting:
 
     def test_stats_histogram(self, cache):
         current = self._plant(cache, CACHE_FORMAT_VERSION)
-        self._plant(cache, CACHE_FORMAT_VERSION - 1)
+        v2 = self._plant(cache, 2)
+        v3 = self._plant(cache, 3)  # backend-keyed entries
         self._plant(cache, None)
         stats = cache.stats()
         assert stats["format_versions"] == {
             f"v{CACHE_FORMAT_VERSION}": 1,
-            f"v{CACHE_FORMAT_VERSION - 1}": 1,
+            "v2": 1,
+            "v3": 1,
             "unversioned": 1,
         }
-        assert stats["stale_entries"] == 2
+        assert stats["stale_entries"] == 3
+        assert cache.get(v2) is None
+        assert cache.get(v3) is None
         assert cache.get(current) is not None
 
     def test_fsck_reports_and_quarantines_stale(self, cache):

@@ -1,8 +1,7 @@
-"""Columnar recording backend: batch analyser parity and trace unit
-tests.
+"""Columnar recording: batch analyser parity and trace unit tests.
 
-The contract under test is exact equivalence with the row backend:
-``analyze_segments`` must reproduce ``analyze_pair`` value-for-value
+The contract under test is exact equivalence with eager per-op
+analysis: ``analyze_segments`` must reproduce ``analyze_pair`` value-for-value
 over arbitrary op batches (including the degenerate shapes the batch
 offset trick has to survive — empty operands, negative keys, huge key
 ranges), and a ``ColumnarTrace`` fed the same op sequence as a ``Trace``
@@ -15,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.arch.trace import OpKind, Trace
-from repro.record import (DEFAULT_BACKEND, RECORD_BACKENDS, make_trace,
-                          normalize_backend)
 from repro.record.columnar import ColumnarTrace, analyze_segments
 from repro.streams.runstats import (SU_BUFFER_WIDTH, UNBOUNDED,
                                     analyze_pair, truncate_bound)
@@ -93,7 +90,7 @@ class TestAnalyzeSegments:
 
 
 def _record_both(ops, **columnar_kwargs):
-    """Feed one op plan to both backends; return frozen (rows, columnar)."""
+    """Feed one op plan to both traces; return (rows, columnar)."""
     kinds = (OpKind.INTERSECT, OpKind.SUBTRACT, OpKind.MERGE)
     rows = Trace("t")
     cols = ColumnarTrace("t", **columnar_kwargs)
@@ -167,27 +164,3 @@ class TestColumnarTrace:
         assert cols.new_burst() == 1
         assert cols.new_burst() == 2
 
-
-class TestBackendSelection:
-    def test_make_trace_dispatch(self):
-        assert isinstance(make_trace("columnar"), ColumnarTrace)
-        assert isinstance(make_trace("rows"), Trace)
-        assert isinstance(make_trace(None), Trace)  # default env unset
-
-    def test_normalize_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown recording backend"):
-            normalize_backend("parquet")
-        assert normalize_backend(None) == DEFAULT_BACKEND
-        assert all(normalize_backend(b) == b for b in RECORD_BACKENDS)
-
-    def test_env_knob_selects_columnar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECORD_BACKEND", "columnar")
-        assert isinstance(make_trace(None), ColumnarTrace)
-
-    def test_env_knob_nonsense_falls_back(self, monkeypatch):
-        from repro.resilience.knobs import reset_knob_warnings
-
-        reset_knob_warnings()
-        monkeypatch.setenv("REPRO_RECORD_BACKEND", "sideways")
-        with pytest.warns(RuntimeWarning, match="REPRO_RECORD_BACKEND"):
-            assert normalize_backend(None) == DEFAULT_BACKEND
