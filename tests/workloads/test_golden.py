@@ -87,7 +87,7 @@ def trace_kind(request, monkeypatch):
 class TestRunMetricsGolden:
     @pytest.mark.parametrize("trace_kind", ["rows", "columnar"],
                              indirect=True)
-    @pytest.mark.parametrize("family", ["gpm", "spmspm", "tensor"])
+    @pytest.mark.parametrize("family", ["gpm", "spmspm", "tensor", "ttm"])
     def test_metrics_unchanged(self, family, trace_kind):
         entry = _golden("golden_runs.json")[family]
         spec = get_workload(entry["workload"])
