@@ -42,7 +42,16 @@ class LruBytes:
 
     def access(self, key: tuple, nbytes: int) -> bool:
         """Touch ``key``; returns True on hit.  Inserts on miss."""
-        entry = self._entries.pop(key, None)
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is not None and (entry == nbytes or (
+                nbytes > self.capacity and entry == self.capacity)):
+            # A hit of unchanged clamped size leaves the used bytes as
+            # they are, so nothing can be evicted: it only moves to the
+            # MRU end.
+            entries.move_to_end(key)
+            return True
+        entry = entries.pop(key, None)
         if entry is not None:
             self._used -= entry
         self._insert(key, nbytes)

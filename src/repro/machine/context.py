@@ -7,7 +7,8 @@ instructions, ``vinter``/``vmerge`` for the value instructions, and
 ``nest_intersect`` for ``S_NESTINTER``.  Each call returns the
 functional result and appends one record to the trace; stream loads
 charge the paired CPU/SparseCore memory models at the moment the data
-would move.
+would move.  ``vinter_rows`` records one ``S_VREAD`` + ``S_VINTER`` per
+row of a CSR matrix in a single call.
 
 Kernels annotate structure the hardware exploits:
 
@@ -148,18 +149,7 @@ class Machine:
             operand.pending_cpu = cost.cpu_cycles
             operand.pending_sc = cost.sc_cycles
             if self.obs.enabled:
-                counters = self.obs.counters
-                if counters.enabled:
-                    counters.inc("machine.stream_loads")
-                    counters.add("machine.stream_bytes",
-                                 keys.size * KEY_BYTES)
-                tracer = self.obs.tracer
-                if tracer.enabled:
-                    tracer.instant("fetch " + granule[0], "fetch",
-                                   self._clock, tid=1,
-                                   granule=repr(granule),
-                                   bytes=keys.size * KEY_BYTES,
-                                   scratchpad_hit=cost.scratchpad_hit)
+                self._observe_load(granule, keys.size * KEY_BYTES, cost)
         return operand
 
     def load_values(self, keys: np.ndarray, values: np.ndarray,
@@ -229,6 +219,18 @@ class Machine:
         self.trace.add_sc_scalar(n)
 
     # -- observability -----------------------------------------------------------
+
+    def _observe_load(self, granule: tuple, nbytes: int, cost) -> None:
+        """Count and trace one memory-backed stream load (``S_READ``)."""
+        counters = self.obs.counters
+        if counters.enabled:
+            counters.inc("machine.stream_loads")
+            counters.add("machine.stream_bytes", nbytes)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.instant("fetch " + granule[0], "fetch", self._clock,
+                           tid=1, granule=repr(granule), bytes=nbytes,
+                           scratchpad_hit=cost.scratchpad_hit)
 
     def _observe_op(self, kind: OpKind, stats, *, nested: bool = False,
                     cpu_mem: float = 0.0, sc_mem: float = 0.0,
@@ -383,6 +385,64 @@ class Machine:
                              cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=n_matches)
         return ops.vinter(a.keys, av, b.keys, bv, op, bound)
+
+    def vinter_rows(self, a: StreamOperand, mat, granule: tuple,
+                    priority: int = 0,
+                    loop_instrs: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``S_VREAD`` + ``S_VINTER`` (MAC) of ``a`` against every
+        non-empty row ``k`` of the CSR matrix ``mat``, row granule
+        ``granule + (k,)``; ``loop_instrs`` scalar instructions surround
+        each op.  Returns the row ids and their values.
+
+        Records exactly what the per-row ``load_values`` + :meth:`vinter`
+        loop records.  The functional results depend on no memory state,
+        so they are all computed first; the data-movement charges are
+        then still taken one op at a time, in the per-row order."""
+        av = self._require_values(a)
+        indptr = mat.indptr
+        row_ids = np.flatnonzero(indptr[1:] != indptr[:-1])
+        counts, values = ops.vinter_rows(a.keys, av, indptr, mat.indices,
+                                         mat.data)
+        if row_ids.size == 0:
+            return row_ids, values[row_ids]
+        load_stream = self.transfer.load_stream
+        load_values = self.transfer.load_values
+        add_op = self._add_op
+        burst = self._burst
+        observe = self.obs.enabled
+        a_keys, a_vgranule = a.keys, a.vgranule
+        vgranule = ("vals",) + granule
+        indices = mat.indices
+        bounds = indptr.tolist()
+        cpu_a, sc_a = a.take_pending()
+        for k, m in zip(row_ids.tolist(), counts[row_ids].tolist()):
+            lo, hi = bounds[k], bounds[k + 1]
+            row_keys = indices[lo:hi]
+            row_granule = granule + (k,)
+            cost = load_stream(row_granule, (hi - lo) * KEY_BYTES, priority)
+            if observe:
+                self._observe_load(row_granule, (hi - lo) * KEY_BYTES, cost)
+            ga = gb = (0.0, 0.0)
+            if m > 0:
+                if a_vgranule is not None:
+                    g = load_values(a_vgranule, m * _VALUE_BYTES)
+                    ga = (g.cpu_cycles, g.sc_cycles)
+                g = load_values(vgranule + (k,), m * _VALUE_BYTES)
+                gb = (g.cpu_cycles, g.sc_cycles)
+            cpu_mem = cpu_a + cost.cpu_cycles + (ga[0] + gb[0])
+            sc_mem = sc_a + cost.sc_cycles + (ga[1] + gb[1])
+            cpu_a = sc_a = 0.0
+            add_op(OpKind.VINTER, a_keys, row_keys, UNBOUNDED, burst=burst,
+                   cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=m)
+            if observe:
+                self._observe_op(OpKind.VINTER,
+                                 analyze_pair(a_keys, row_keys,
+                                              width=self._width),
+                                 cpu_mem=cpu_mem, sc_mem=sc_mem,
+                                 flop_pairs=m)
+        self.trace.shared_scalar_instrs += row_ids.size * (OP_SETUP_INSTRS
+                                                           + loop_instrs)
+        return row_ids, values[row_ids]
 
     def vmerge(self, alpha: float, a: StreamOperand,
                beta: float, b: StreamOperand) -> StreamOperand:

@@ -33,6 +33,7 @@ __all__ = [
     "merge",
     "merge_count",
     "vinter",
+    "vinter_rows",
     "vmerge",
     "ValueOp",
 ]
@@ -167,6 +168,45 @@ def vinter(
     pos_in_b = np.searchsorted(b_keys_eff, a_keys_eff[mask_a])
     combined = op.combine(a_vals[mask_a], b_vals[pos_in_b])
     return float(np.sum(combined))
+
+
+def vinter_rows(
+    a_keys: np.ndarray,
+    a_vals: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    op: ValueOp | str = MAC,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`vinter` of one stream against every row of a CSR matrix.
+
+    Returns ``(n_matches, values)``, one entry per row: row ``r``'s
+    value equals ``vinter(a_keys, a_vals, indices[indptr[r]:indptr[r+1]],
+    data[indptr[r]:indptr[r+1]], op)`` bit for bit.  One binary search
+    of the matrix's whole key array finds every match; the combined
+    pairs are then summed with ``np.sum`` over a ``(rows, m)`` gather per
+    distinct match count ``m``, which reduces each row exactly as
+    ``np.sum`` does its 1-D array.  ``np.add.reduceat`` and weighted
+    ``np.bincount`` group the additions differently and do not agree.
+    """
+    if isinstance(op, str):
+        op = ValueOp.by_name(op)
+    n_rows = indptr.size - 1
+    values = np.zeros(n_rows, dtype=np.float64)
+    if a_keys.size == 0 or indices.size == 0:
+        return np.zeros(n_rows, dtype=np.int64), values
+    pos = np.searchsorted(a_keys, indices)
+    hit = pos < a_keys.size
+    hit[hit] = a_keys[pos[hit]] == indices[hit]
+    prods = op.combine(a_vals[pos[hit]], data[hit])
+    row_of = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+    n_matches = np.bincount(row_of[hit], minlength=n_rows)
+    starts = np.cumsum(n_matches) - n_matches
+    for m in np.unique(n_matches[n_matches > 0]).tolist():
+        rows = np.flatnonzero(n_matches == m)
+        gather = starts[rows][:, None] + np.arange(m, dtype=np.int64)
+        values[rows] = np.sum(prods[gather], axis=1)
+    return n_matches, values
 
 
 def vmerge(

@@ -47,17 +47,12 @@ def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
         a_row = machine.load_values(
             a.row_keys(i), a.row_vals(i), ("arow", id(a), i), priority=1)
         machine.scalar(LOOP_INSTRS)
-        for j in range(bt.shape[0]):
-            if bt.row_nnz(j) == 0:
-                continue
-            b_col = machine.load_values(
-                bt.row_keys(j), bt.row_vals(j), ("bcol", id(b), j))
-            value = machine.vinter(a_row, b_col, "MAC")
-            machine.scalar(LOOP_INSTRS)
-            if value != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(value)
+        js, values = machine.vinter_rows(a_row, bt, ("bcol", id(b)),
+                                         loop_instrs=LOOP_INSTRS)
+        nz = values != 0.0
+        rows.extend([i] * int(np.count_nonzero(nz)))
+        cols.extend(js[nz].tolist())
+        vals.extend(values[nz].tolist())
     return SparseMatrix.from_coo(
         (a.shape[0], b.shape[1]), rows, cols, vals, name="C")
 

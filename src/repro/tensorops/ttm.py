@@ -33,16 +33,11 @@ def ttm(a: CSFTensor, b: SparseMatrix,
             l_keys, l_vals, ("csf-chunk", id(a), offset // 16))
         offset += int(l_keys.size)
         machine.scalar(LOOP_INSTRS)
-        for k in range(b.shape[0]):
-            if b.row_nnz(k) == 0:
-                continue
-            b_row = machine.load_values(
-                b.row_keys(k), b.row_vals(k), ("brow", id(b), k), priority=1)
-            value = machine.vinter(fiber, b_row, "MAC")
-            machine.scalar(LOOP_INSTRS)
-            if value != 0.0:
-                coords.append((i, j, k))
-                vals.append(value)
+        ks, values = machine.vinter_rows(fiber, b, ("brow", id(b)),
+                                         priority=1, loop_instrs=LOOP_INSTRS)
+        nz = values != 0.0
+        coords.extend((i, j, k) for k in ks[nz].tolist())
+        vals.extend(values[nz].tolist())
     shape = (a.shape[0], a.shape[1], b.shape[0])
     coords_arr = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     return CSFTensor.from_coo(shape, coords_arr, np.asarray(vals), name="Z")

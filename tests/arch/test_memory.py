@@ -1,5 +1,8 @@
 """Tests for the LRU cache-hierarchy model."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.arch.config import CacheConfig
 from repro.arch.memory import CacheHierarchy, LruBytes
 
@@ -107,3 +110,49 @@ class TestCacheHierarchy:
         h.reset()
         assert h.stats.accesses == 0
         assert h.access(("v", 1), 64) == h.config.dram_latency
+
+
+class PopReinsertLru(LruBytes):
+    """The LRU without the same-size hit fast path: every access pops
+    the entry and re-inserts it, evicting from the LRU end."""
+
+    def access(self, key, nbytes):
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._used -= entry
+        self._insert(key, nbytes)
+        return entry is not None
+
+
+# Few keys, so hits are common; sizes from 0 past the capacity, so hits
+# resize entries both ways and some entries are clamped to capacity.
+accesses = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 300)),
+                    max_size=80)
+
+
+class TestLruFastPath:
+    @given(st.integers(1, 256), accesses)
+    def test_matches_pop_and_reinsert(self, capacity, seq):
+        fast, ref = LruBytes(capacity), PopReinsertLru(capacity)
+        for key, nbytes in seq:
+            assert fast.access((key,), nbytes) == ref.access((key,), nbytes)
+            assert fast.used_bytes == ref.used_bytes <= capacity
+        assert list(fast._entries.items()) == list(ref._entries.items())
+
+    @given(accesses, st.booleans())
+    def test_hierarchy_stats_match(self, seq, pipelined):
+        config = CacheConfig(l1d_bytes=128, l2_bytes=256, l3_bytes=512)
+        fast = CacheHierarchy(config, use_l1=not pipelined)
+        ref = CacheHierarchy(config, use_l1=not pipelined)
+        for level in ("_l1", "_l2", "_l3"):
+            lru = getattr(ref, level)
+            if lru is not None:
+                setattr(ref, level, PopReinsertLru(lru.capacity))
+        for key, nbytes in seq:
+            if pipelined:
+                assert (fast.access_pipelined((key,), nbytes)
+                        == ref.access_pipelined((key,), nbytes))
+            else:
+                assert fast.access((key,), nbytes) == ref.access((key,),
+                                                                 nbytes)
+        assert fast.stats == ref.stats

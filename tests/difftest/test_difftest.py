@@ -17,7 +17,11 @@ from repro.difftest import (
     run_sweep,
     self_check,
 )
-from repro.difftest.backends import STREAM_BACKENDS, backends_for
+from repro.difftest.backends import (
+    STREAM_BACKENDS,
+    TENSOR_BACKENDS,
+    backends_for,
+)
 from repro.difftest.generator import derive_seed
 from repro.difftest.oracle import evaluate, find_disagreement
 from repro.streams import ops
@@ -73,6 +77,21 @@ class TestOracle:
         # Both merge-run analysers are value-compared: the machine's
         # batched trace analysis and the per-op analyze_pair.
         assert {"machine", "runstats"} <= set(parts)
+
+    def test_all_tensor_backends_participate(self):
+        report = run_sweep(n_cases=24, root_seed=2, sizes=SMOKE,
+                           families=("tensor",))
+        assert report.ok, report.render()
+        parts = report.backend_participation["tensor"]
+        assert set(parts) == set(TENSOR_BACKENDS)
+        assert all(count > 0 for count in parts.values())
+        # The batched value intersection (inner, machine) is
+        # value-compared against the per-row S_VINTER loop on every
+        # spmspm and ttm case.
+        gen = CaseGenerator(SMOKE)
+        kinds = [gen.tensor_case(derive_seed(2, "tensor", index)).kind
+                 for index in range(24)]
+        assert parts["per_row"] == sum(kind != "ttv" for kind in kinds)
 
     def test_gpm_and_tensor_hit_three_plus_backends(self):
         report = run_sweep(n_cases=24, root_seed=2, sizes=SMOKE,
