@@ -10,8 +10,8 @@ Configurations are **first-class values**: every config dataclass
 validates its fields on construction (raising
 :class:`~repro.errors.ConfigError` at the configuration boundary rather
 than deep inside a cost model), serializes canonically
-(:meth:`to_dict`/:meth:`from_dict`), and hashes to a stable
-:func:`config_fingerprint` that is independent of dict field order.
+(:meth:`to_dict`), and hashes to a stable :func:`config_fingerprint`
+that is independent of dict field order.
 A :class:`MachineConfigs` bundle (CPU baseline + SparseCore) is what
 the run pipeline (:func:`repro.workloads.run_workload`), the parallel
 engine, and the design-space explorer (:mod:`repro.explore`) thread
@@ -80,28 +80,6 @@ def _config_to_dict(cfg) -> dict:
     return out
 
 
-def _config_from_dict(cls, data, nested: dict | None = None):
-    """Rebuild ``cls`` from a :func:`_config_to_dict` mapping.
-
-    Unknown keys raise :class:`ConfigError` (a typo'd sweep axis must
-    not silently produce the default machine); missing keys fall back
-    to the class defaults, so serialized configs stay readable across
-    field additions.
-    """
-    _require(isinstance(data, dict),
-             f"{cls.__name__}.from_dict expects a mapping, "
-             f"got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    _require(not unknown,
-             f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-    kwargs = dict(data)
-    for name, sub_cls in (nested or {}).items():
-        if name in kwargs and isinstance(kwargs[name], dict):
-            kwargs[name] = sub_cls.from_dict(kwargs[name])
-    return cls(**kwargs)
-
-
 def config_fingerprint(cfg) -> str:
     """Stable 16-hex-char identity of one configuration value.
 
@@ -143,18 +121,11 @@ class CacheConfig:
     def to_dict(self) -> dict:
         return _config_to_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        return _config_from_dict(cls, data)
-
 
 @dataclass(frozen=True)
 class CpuConfig:
     """Baseline out-of-order CPU cost model (one core of Table 2)."""
 
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    rob_size: int = 128
-    load_queue_size: int = 32
     #: Effective cycles per two-pointer merge step: the loop's critical
     #: path is a load-to-use (4-cycle L1) feeding a compare and branch;
     #: the out-of-order window overlaps part of it ("data dependencies
@@ -174,17 +145,13 @@ class CpuConfig:
     flop_cycles_per_pair: float = 1.0
 
     def __post_init__(self):
-        _positive(self, "rob_size", "load_queue_size", "cycles_per_step",
-                  "scalar_cpi", "flop_cycles_per_pair")
+        _positive(self, "cycles_per_step", "scalar_cpi",
+                  "flop_cycles_per_pair")
         _nonnegative(self, "mispredict_penalty")
         _rate(self, "mispredict_rate")
 
     def to_dict(self) -> dict:
         return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CpuConfig":
-        return _config_from_dict(cls, data, {"cache": CacheConfig})
 
     def fingerprint(self) -> str:
         return config_fingerprint(self)
@@ -223,18 +190,12 @@ class SparseCoreConfig:
     scalar_cpi: float = 0.4
     #: SVPU throughput: cycles per value pair (MAC).
     flop_cycles_per_pair: float = 1.0
-    # -- published physical characteristics (Section 5.2; inputs to the
-    #    fair-comparison argument, not modelled quantities) --
-    synthesized_frequency_ghz: float = 4.35
-    area_mm2: float = 0.73
-    area_per_su_mm2: float = 0.183
 
     def __post_init__(self):
         _positive(self, "num_cores", "rob_size", "load_queue_size",
                   "num_stream_regs", "num_sus", "scache_slot_bytes",
                   "scratchpad_bytes", "scache_bandwidth", "implicit_overlap",
-                  "scalar_cpi", "flop_cycles_per_pair",
-                  "synthesized_frequency_ghz", "area_mm2", "area_per_su_mm2")
+                  "scalar_cpi", "flop_cycles_per_pair")
         _nonnegative(self, "op_issue_cycles", "nested_translate_cycles")
         # Slot keys index S-Cache ways and the SU walk is a fixed-width
         # comparator tree — both are hardware structures that only come
@@ -245,32 +206,33 @@ class SparseCoreConfig:
         """Copy with a different SU count (Figure 12 sweep)."""
         return replace(self, num_sus=n)
 
-    def with_bandwidth(self, elems_per_cycle: int) -> "SparseCoreConfig":
-        """Copy with a different aggregate bandwidth (Figure 13 sweep)."""
-        return replace(self, scache_bandwidth=elems_per_cycle)
-
     def to_dict(self) -> dict:
         return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SparseCoreConfig":
-        return _config_from_dict(cls, data, {"cache": CacheConfig})
 
     def fingerprint(self) -> str:
         return config_fingerprint(self)
 
 
 def sweepable_fields() -> tuple[str, ...]:
-    """SparseCore field names a design-space axis may legally vary.
+    """SparseCore field names a design-space axis may legally vary."""
+    # Exactly the fields SparseCoreModel.cost reads: the price-time
+    # knobs, the only ones that can move the cycles of a recorded
+    # trace.  Record-time fields (su_buffer_width, scratchpad_bytes, the
+    # cache hierarchy) are baked into the trace under the paper preset,
+    # and the rest only describe the machine (Table 2, the executor);
+    # sweeping them would print one cycle count at every point.  They
+    # wait on pricing that replays data movement (ROADMAP item 4).
+    return ("num_sus", "scache_bandwidth", "op_issue_cycles",
+            "nested_translate_cycles", "implicit_overlap", "scalar_cpi",
+            "flop_cycles_per_pair")
 
-    Every scalar field of :class:`SparseCoreConfig` except the nested
-    cache hierarchy and the published physical characteristics (those
-    are measurement inputs, not model knobs).
-    """
-    skip = {"cache", "synthesized_frequency_ghz", "area_mm2",
-            "area_per_su_mm2"}
-    return tuple(f.name for f in fields(SparseCoreConfig)
-                 if f.name not in skip)
+
+def require_sweepable(field_name: str) -> None:
+    """Raise :class:`ConfigError` unless ``field_name`` is an axis."""
+    _require(field_name in sweepable_fields(),
+             f"cannot sweep {field_name!r}: only the fields pricing reads "
+             f"move the cycles of a recorded trace; expected one of: "
+             + ", ".join(sweepable_fields()))
 
 
 def config_variant(cfg: SparseCoreConfig, field_name: str,
@@ -278,19 +240,11 @@ def config_variant(cfg: SparseCoreConfig, field_name: str,
     """One swept design point: ``cfg`` with ``field_name`` replaced.
 
     The single construction path for every sweep — Figures 12/13's
-    SU/bandwidth variants and the :mod:`repro.explore` grid axes all
-    derive from the base config here (reusing :meth:`with_sus` /
-    :meth:`with_bandwidth` for the figure axes), so an invalid value
-    fails with :class:`ConfigError` before any model runs.
+    SU/bandwidth variants and the :mod:`repro.explore` grid axes — so a
+    field outside :func:`sweepable_fields` or an invalid value fails
+    with :class:`ConfigError` before any model runs.
     """
-    if field_name == "num_sus":
-        return cfg.with_sus(value)
-    if field_name == "scache_bandwidth":
-        return cfg.with_bandwidth(value)
-    if field_name not in sweepable_fields():
-        raise ConfigError(
-            f"unknown sweep axis {field_name!r}; expected one of: "
-            + ", ".join(sweepable_fields()))
+    require_sweepable(field_name)
     return replace(cfg, **{field_name: value})
 
 
@@ -312,11 +266,6 @@ class MachineConfigs:
     def to_dict(self) -> dict:
         return {"cpu": self.cpu.to_dict(),
                 "sparsecore": self.sparsecore.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MachineConfigs":
-        return _config_from_dict(
-            cls, data, {"cpu": CpuConfig, "sparsecore": SparseCoreConfig})
 
     def fingerprint(self) -> str:
         return config_fingerprint(self)
@@ -394,11 +343,3 @@ TABLE2 = {
     "S-Cache slot size": "256B",
     "scratchpad size": "16KB",
 }
-
-
-def default_sparsecore() -> SparseCoreConfig:
-    return SparseCoreConfig()
-
-
-def default_cpu() -> CpuConfig:
-    return CpuConfig()

@@ -64,11 +64,6 @@ class GfrNotLoadedFault(ArchFault):
     """``S_NESTINTER`` executed before ``S_LD_GFR`` loaded graph format."""
 
 
-class EndOfStream(ReproError):
-    """Sentinel exception used by iteration helpers; ``S_FETCH`` itself
-    returns the architectural EOS value rather than raising."""
-
-
 class DatasetError(ReproError):
     """An unknown dataset name was requested from a registry."""
 
@@ -76,9 +71,9 @@ class DatasetError(ReproError):
 class ConfigError(ReproError):
     """A machine configuration is invalid or could not be resolved.
 
-    Raised on construction (field validation in ``arch/config.py``),
-    on deserialization of unknown/malformed fields, and on lookups of
-    unknown preset names or sweep axes — so a bad design point fails
+    Raised on construction (field validation in ``arch/config.py``)
+    and on lookups of unknown preset names or sweep axes (including
+    fields pricing does not read) — so a bad design point fails
     at the configuration boundary, not deep inside a cost model.
     """
 

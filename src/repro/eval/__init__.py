@@ -13,12 +13,11 @@ the paper reports (see DESIGN.md's substitution notes).
 """
 
 from repro.eval.reporting import render
-from repro.eval.runs import gpm_run, gpm_metrics, clear_run_cache
+from repro.eval.runs import gpm_metrics, clear_run_cache
 from repro.eval import figures, tables
 
 __all__ = [
     "render",
-    "gpm_run",
     "gpm_metrics",
     "clear_run_cache",
     "figures",

@@ -41,15 +41,6 @@ def clear_run_cache(disk: bool = True) -> None:
             cache.clear()
 
 
-def gpm_run(app: str, graph_name: str, scale: float = 1.0):
-    """Execute one app on one stand-in graph (uncached; returns AppRun)."""
-    from repro.gpm.apps import run_app
-    from repro.graph.datasets import load_graph
-
-    graph = load_graph(graph_name, scale)
-    return run_app(app, graph, record_lengths=True)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline wrappers (one per family, plus the unified entry)
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ Axis syntax (the CLI ``--axis`` argument)::
 
     num_sus=1,2,4,8,16        explicit value list
     scache_bandwidth=2..64    geometric range, doubling (2,4,8,16,32,64)
-    scratchpad_bytes=4096..65536
     num_sus=2..8:2            arithmetic range with step (2,4,6,8)
 
 Field names are validated against
-:func:`~repro.arch.config.sweepable_fields` up front, and every derived
-config revalidates on construction — a typo'd axis or an illegal value
-(zero SUs, non-power-of-two slot keys) fails with
-:class:`~repro.errors.ConfigError` before any model runs.
+:func:`~repro.arch.config.sweepable_fields` up front — the seven fields
+pricing reads, so every axis can move cycles — and every derived config
+revalidates on construction: a typo'd or record-time axis, or an
+illegal value (zero SUs), fails with :class:`~repro.errors.ConfigError`
+before any model runs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.arch.config import (
     MachineConfigs,
     config_variant,
-    sweepable_fields,
+    require_sweepable,
 )
 from repro.errors import ConfigError
 
@@ -40,10 +40,7 @@ class Axis:
     values: tuple
 
     def __post_init__(self):
-        if self.field not in sweepable_fields():
-            raise ConfigError(
-                f"unknown sweep axis {self.field!r}; expected one of: "
-                + ", ".join(sweepable_fields()))
+        require_sweepable(self.field)
         if not self.values:
             raise ConfigError(f"axis {self.field!r} has no values")
         if len(set(self.values)) != len(self.values):

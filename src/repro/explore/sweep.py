@@ -15,9 +15,10 @@ the trace-cache hit rate during the sweep is at least
 Outputs per workload: the priced grid (cycles, speedup, modelled area
 from :func:`~repro.arch.area.sparsecore_area_mm2`), the Pareto front
 (area vs. cycles, both minimized), and per-axis sensitivity (marginal
-mean cycles per axis value).  With the run ledger enabled the sweep
-leaves ``explore.point`` spans and one ``explore.sweep`` span carrying
-the cache totals, surfaced by ``python -m repro obs report``.
+mean cycles per axis value, flagged ``inert`` when no value moves
+them).  With the run ledger enabled the sweep leaves ``explore.point``
+spans and one ``explore.sweep`` span carrying the cache totals,
+surfaced by ``python -m repro obs report``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class SweepReport:
                 lines.append(
                     f"  sensitivity {axis_field}: best {sens['best_value']} "
                     f"worst {sens['worst_value']} "
-                    f"(max/min cycles {sens['max_over_min']:.3f})")
+                    f"(max/min cycles {sens['max_over_min']:.3f})"
+                    + (", inert on this workload" if sens["inert"] else ""))
         for failure in self.failures:
             lines.append(f"FAILED {failure['key']}: {failure['error']}: "
                          f"{failure['message']}")
@@ -134,12 +136,16 @@ def _sensitivity(rows: list[dict], axis_fields) -> dict:
             continue
         best = min(marginal, key=marginal.get)
         worst = max(marginal, key=marginal.get)
+        max_over_min = (marginal[worst] / marginal[best]
+                        if marginal[best] else float("inf"))
         out[axis_field] = {
             "cycles_by_value": {str(k): v for k, v in marginal.items()},
             "best_value": best,
             "worst_value": worst,
-            "max_over_min": (marginal[worst] / marginal[best]
-                             if marginal[best] else float("inf")),
+            "max_over_min": max_over_min,
+            # The axis reaches the model but not this workload's cycles
+            # (e.g. a FLOP cost on a key-only workload).
+            "inert": max_over_min == 1.0,
         }
     return out
 

@@ -28,14 +28,14 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.arch.config import SparseCoreConfig
+from repro.arch.config import default_configs
 from repro.arch.trace import NO_BURST, OpKind, su_cycles_for
 from repro.arch.transfer import TransferModel
 from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
-from repro.streams.runstats import UNBOUNDED, analyze_pair
+from repro.streams.runstats import SU_BUFFER_WIDTH, UNBOUNDED, analyze_pair
 from repro.streams.stream import KEY_BYTES
 
 _VALUE_BYTES = 8
@@ -106,20 +106,20 @@ class AppRun:
 
 
 class Machine:
-    """Recording machine: functional results + cost trace."""
+    """Recording machine: functional results + cost trace.
 
-    __slots__ = ("config", "obs", "trace", "transfer", "_burst", "_width",
-                 "record_lengths", "length_samples", "_clock", "_add_op",
-                 "_append_length")
+    Recording reads no configuration: the SU walk width and the memory
+    hierarchy are the ``paper`` preset's, so a trace depends on the
+    workload, its dataset and the scale only."""
 
-    def __init__(self, config: SparseCoreConfig | None = None,
-                 name: str = "run", record_lengths: bool = False,
+    __slots__ = ("obs", "trace", "transfer", "_burst", "record_lengths",
+                 "length_samples", "_clock", "_add_op", "_append_length")
+
+    def __init__(self, name: str = "run", record_lengths: bool = False,
                  probe: Probe | None = None):
-        self.config = config or SparseCoreConfig()
         self.obs = probe or NULL_PROBE
-        self._width = self.config.su_buffer_width
-        self.trace = ColumnarTrace(name, width=self._width)
-        self.transfer = TransferModel(self.config, self.obs.counters)
+        self.trace = ColumnarTrace(name, width=SU_BUFFER_WIDTH)
+        self.transfer = TransferModel(counters=self.obs.counters)
         self._burst = NO_BURST
         self.record_lengths = record_lengths
         #: operand-length samples for the Figure 14 CDFs
@@ -260,8 +260,10 @@ class Machine:
         tracer = self.obs.tracer
         if tracer.enabled:
             # SVPU FLOPs overlap the SU key walk (Section 4.5): the
-            # span covers whichever side dominates, as the model does.
-            dur = max(su, flop_pairs * self.config.flop_cycles_per_pair)
+            # span covers whichever side dominates, as the model does
+            # under the paper preset.
+            flop_cycles = default_configs().sparsecore.flop_cycles_per_pair
+            dur = max(su, flop_pairs * flop_cycles)
             tracer.span(name, "su", self._clock, dur, tid=0,
                         burst=self._burst, matches=stats.n_matches,
                         eff_elems=stats.eff_a + stats.eff_b)
@@ -303,8 +305,7 @@ class Machine:
         if self.obs.enabled:
             # Profiled runs observe per-op stats eagerly; the trace
             # itself stays deferred (identical frozen output).
-            self._observe_op(kind, analyze_pair(a.keys, b.keys, bound,
-                                                width=self._width),
+            self._observe_op(kind, analyze_pair(a.keys, b.keys, bound),
                              nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=flop_pairs)
         if self.record_lengths:
@@ -380,8 +381,7 @@ class Machine:
         self.trace.add_scalar(OP_SETUP_INSTRS)
         if self.obs.enabled:
             self._observe_op(OpKind.VINTER,
-                             analyze_pair(a.keys, b.keys, bound,
-                                          width=self._width),
+                             analyze_pair(a.keys, b.keys, bound),
                              cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=n_matches)
         return ops.vinter(a.keys, av, b.keys, bv, op, bound)
@@ -436,8 +436,7 @@ class Machine:
                    cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=m)
             if observe:
                 self._observe_op(OpKind.VINTER,
-                                 analyze_pair(a_keys, row_keys,
-                                              width=self._width),
+                                 analyze_pair(a_keys, row_keys),
                                  cpu_mem=cpu_mem, sc_mem=sc_mem,
                                  flop_pairs=m)
         self.trace.shared_scalar_instrs += row_ids.size * (OP_SETUP_INSTRS
@@ -465,7 +464,7 @@ class Machine:
         self.trace.add_scalar(OP_SETUP_INSTRS)
         if self.obs.enabled:
             self._observe_op(OpKind.VMERGE,
-                             analyze_pair(a.keys, b.keys, width=self._width),
+                             analyze_pair(a.keys, b.keys),
                              cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=n_out)
         return StreamOperand(keys, vals)
@@ -492,9 +491,7 @@ class Machine:
                              cpu_mem=cpu_mem, sc_mem=sc_mem)
                 if self.obs.enabled:
                     self._observe_op(OpKind.INTERSECT,
-                                     analyze_pair(s.keys, nbr.keys,
-                                                  bound=s_i,
-                                                  width=self._width),
+                                     analyze_pair(s.keys, nbr.keys, s_i),
                                      nested=True, cpu_mem=cpu_mem,
                                      sc_mem=sc_mem)
                 total += ops.intersect_count(s.keys, nbr.keys, s_i)

@@ -300,10 +300,6 @@ class ColumnarTrace:
             )
         return self._frozen
 
-    def stream_lengths(self) -> np.ndarray:
-        """Effective operand element counts per op (Figure 14 data)."""
-        return self.freeze().eff_elems
-
     def __repr__(self) -> str:
         return f"ColumnarTrace({self.name!r}, ops={self.num_ops})"
 

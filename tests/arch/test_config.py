@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.arch.config import (
@@ -19,10 +20,12 @@ from repro.arch.config import (
     register_preset,
     sweepable_fields,
 )
+from repro.arch.trace import OpKind
 from repro.errors import ConfigError, ReproError
+from repro.record.columnar import ColumnarTrace
 
 
-# -- round-trip --------------------------------------------------------------
+# -- canonical form ----------------------------------------------------------
 
 @pytest.mark.parametrize("cfg", [
     CacheConfig(),
@@ -30,36 +33,19 @@ from repro.errors import ConfigError, ReproError
     SparseCoreConfig(),
     MachineConfigs(),
     SparseCoreConfig(num_sus=8, scache_bandwidth=64),
-    CpuConfig(cycles_per_step=2.5, cache=CacheConfig(l1d_bytes=1 << 16)),
+    CpuConfig(cycles_per_step=2.5, scalar_cpi=0.5),
 ])
 def test_round_trip(cfg):
-    assert type(cfg).from_dict(cfg.to_dict()) == cfg
-
-
-def test_round_trip_through_json():
-    cfg = MachineConfigs()
-    blob = json.dumps(cfg.to_dict())
-    assert MachineConfigs.from_dict(json.loads(blob)) == cfg
+    """``to_dict`` (the form fingerprints hash) survives JSON unchanged."""
+    data = cfg.to_dict()
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_to_dict_is_plain_data():
     data = MachineConfigs().to_dict()
     json.dumps(data)  # no dataclass leaks
-    assert isinstance(data["cpu"]["cache"], dict)
+    assert data["cpu"]["scalar_cpi"] == CpuConfig().scalar_cpi
     assert isinstance(data["sparsecore"]["cache"], dict)
-
-
-def test_from_dict_rejects_unknown_keys():
-    data = SparseCoreConfig().to_dict()
-    data["warp_size"] = 32
-    with pytest.raises(ConfigError):
-        SparseCoreConfig.from_dict(data)
-
-
-def test_from_dict_fills_missing_with_defaults():
-    cfg = SparseCoreConfig.from_dict({"num_sus": 8})
-    assert cfg.num_sus == 8
-    assert cfg.scache_bandwidth == SparseCoreConfig().scache_bandwidth
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -67,7 +53,9 @@ def test_from_dict_fills_missing_with_defaults():
 def test_fingerprint_stable_across_field_order():
     data = SparseCoreConfig().to_dict()
     reordered = dict(reversed(list(data.items())))
-    assert (SparseCoreConfig.from_dict(reordered).fingerprint()
+    reordered["cache"] = CacheConfig(
+        **dict(reversed(list(data["cache"].items()))))
+    assert (SparseCoreConfig(**reordered).fingerprint()
             == SparseCoreConfig().fingerprint())
 
 
@@ -93,7 +81,7 @@ def test_machine_fingerprint_covers_both_halves():
     base = MachineConfigs()
     assert base.replace_sparsecore(num_sus=8).fingerprint() \
         != base.fingerprint()
-    assert base.replace_cpu(rob_size=256).fingerprint() \
+    assert base.replace_cpu(cycles_per_step=2.5).fingerprint() \
         != base.fingerprint()
 
 
@@ -106,7 +94,7 @@ def test_machine_fingerprint_covers_both_halves():
     {"scache_slot_keys": 3},       # must be a power of two
     {"su_buffer_width": 12},       # must be a power of two
     {"scratchpad_bytes": -1},
-    {"synthesized_frequency_ghz": 0.0},
+    {"implicit_overlap": 0},
 ])
 def test_sparsecore_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -114,7 +102,7 @@ def test_sparsecore_validation(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rob_size": 0},
+    {"scalar_cpi": 0.0},
     {"cycles_per_step": 0.0},
     {"mispredict_rate": -0.1},
     {"mispredict_rate": 1.5},
@@ -143,10 +131,10 @@ def test_config_error_is_a_repro_error():
 def test_config_variant_routes_through_helpers():
     base = SparseCoreConfig()
     assert config_variant(base, "num_sus", 8) == base.with_sus(8)
-    assert config_variant(base, "scache_bandwidth", 64) \
-        == base.with_bandwidth(64)
-    assert config_variant(base, "scratchpad_bytes", 1 << 16) \
-        == dataclasses.replace(base, scratchpad_bytes=1 << 16)
+    assert config_variant(base, "implicit_overlap", 4) \
+        == dataclasses.replace(base, implicit_overlap=4)
+    with pytest.raises(ConfigError):
+        config_variant(base, "scache_bandwidth", 0)  # revalidated
 
 
 def test_config_variant_rejects_unknown_and_derived_fields():
@@ -154,7 +142,7 @@ def test_config_variant_rejects_unknown_and_derived_fields():
     with pytest.raises(ConfigError):
         config_variant(base, "warp_size", 32)
     with pytest.raises(ConfigError):
-        config_variant(base, "area_mm2", 1.0)  # derived, not sweepable
+        config_variant(base, "scratchpad_bytes", 1 << 16)  # record-time
 
 
 def test_sweepable_fields_are_real_fields():
@@ -162,6 +150,45 @@ def test_sweepable_fields_are_real_fields():
     assert set(sweepable_fields()) <= names
     assert "num_sus" in sweepable_fields()
     assert "cache" not in sweepable_fields()
+
+
+def _pricing_probe_trace():
+    """One fixed trace with every kind of work the SparseCore model
+    prices: a nested burst, singleton ops, a value op with FLOP pairs,
+    and scalar work on both sides."""
+    def keys(*runs):
+        return np.concatenate([np.arange(lo, hi, step, dtype=np.int64)
+                               for lo, hi, step in runs])
+
+    trace = ColumnarTrace("axes")
+    dense, sparse = keys((0, 400, 1)), keys((0, 400, 7))
+    burst = trace.new_burst()
+    for i in range(6):
+        trace.add_op_keys(OpKind.INTERSECT, dense, keys((i, 400, 3)),
+                          burst=burst, nested=True)
+    # Two disjoint walks in one overlap window: bandwidth-bound.
+    for lo in (1000, 2000):
+        trace.add_op_keys(OpKind.INTERSECT, dense, keys((lo, lo + 400, 1)))
+    for i in range(4):
+        trace.add_op_keys(OpKind.INTERSECT, sparse, keys((0, 40 * (i + 1), 1)))
+    trace.add_op_keys(OpKind.VINTER, dense, sparse, flop_pairs=500)
+    trace.add_scalar(2000)
+    trace.add_sc_scalar(300)
+    return trace
+
+
+@pytest.mark.parametrize("field_name", sweepable_fields())
+def test_every_sweepable_field_moves_cycles(field_name):
+    """An axis that cannot move the cycles of a recorded trace would
+    print one number at every design point."""
+    from repro.arch.sparsecore import SparseCoreModel
+
+    trace = _pricing_probe_trace()
+    base = SparseCoreConfig()
+    doubled = config_variant(base, field_name,
+                             getattr(base, field_name) * 2)
+    assert (SparseCoreModel(doubled).cost(trace).total_cycles
+            != SparseCoreModel(base).cost(trace).total_cycles)
 
 
 # -- presets -----------------------------------------------------------------

@@ -50,12 +50,6 @@ class TestTrace:
         t = Trace()
         assert t.new_burst() != t.new_burst()
 
-    def test_stream_lengths(self):
-        t = Trace()
-        st = analyze_pair(keys(1, 2, 3), keys(4, 5))
-        t.add_op(OpKind.INTERSECT, st)
-        assert t.stream_lengths().tolist() == [5]
-
 
 class TestCpuModel:
     def test_empty_trace_zero(self):
@@ -173,6 +167,5 @@ class TestSparseCoreModel:
     def test_config_sweep_helpers(self):
         cfg = SparseCoreConfig()
         assert cfg.with_sus(8).num_sus == 8
-        assert cfg.with_bandwidth(64).scache_bandwidth == 64
         # original untouched (frozen dataclass)
         assert cfg.num_sus == 4

@@ -48,6 +48,9 @@ def test_parse_mixed_list_and_range():
     "num_sus=2..8:0",           # non-positive step
     "cache=1,2",                # nested config is not sweepable
     "area_mm2=1,2",             # published characteristic, not a knob
+    "scratchpad_bytes=1024,16384",  # record-time: baked into the trace
+    "su_buffer_width=8,16",     # record-time: baked into the trace
+    "rob_size=64,128",          # Table 2 only, priced by no model
 ])
 def test_parse_rejects(text):
     with pytest.raises(ConfigError):
@@ -88,9 +91,9 @@ def test_grid_validation_fires_at_construction():
 
 
 def test_grid_keeps_base_cpu():
-    base = default_configs().replace_cpu(rob_size=256)
+    base = default_configs().replace_cpu(cycles_per_step=2.5)
     points = grid_points(parse_axes(["num_sus=1,2"]), base)
-    assert all(p.config.cpu.rob_size == 256 for p in points)
+    assert all(p.config.cpu.cycles_per_step == 2.5 for p in points)
 
 
 # -- pareto ------------------------------------------------------------------
@@ -261,6 +264,39 @@ def test_cli_explore_bad_axis_exits_2(capsys):
 
     assert main(["explore", "triangle", "--axis", "warp_size=1,2"]) == 2
     assert "warp_size" in capsys.readouterr().err
+
+
+def test_cli_explore_record_time_axis_exits_2(capsys):
+    """Sweeping a record-time field would price one recorded trace at
+    every size: identical cycles at every point, so the cheapest point
+    would look Pareto-optimal."""
+    from repro.arch.config import sweepable_fields
+    from repro.cli import main
+
+    assert main(["explore", "triangle", "--scale", "0.2", "--axis",
+                 "scratchpad_bytes=1024,16384,262144"]) == 2
+    err = capsys.readouterr().err
+    assert "scratchpad_bytes" in err
+    for field in sweepable_fields():
+        assert field in err
+
+
+def test_sweep_flags_inert_axes(tmp_path):
+    """A FLOP cost cannot move a key-only workload; SU count can."""
+    report = run_sweep(["triangle"],
+                       ["flop_cycles_per_pair=1,2", "num_sus=1,4"],
+                       scale=0.3, cache_dir=tmp_path)
+    sens = report.workloads[0].sensitivity
+    assert sens["flop_cycles_per_pair"]["inert"] is True
+    assert sens["num_sus"]["inert"] is False
+    lines = report.render().splitlines()
+    assert any("flop_cycles_per_pair" in line
+               and "inert on this workload" in line for line in lines)
+    assert not any("sensitivity num_sus" in line and "inert" in line
+                   for line in lines)
+    payload = json.loads(json.dumps(report.to_json()))
+    assert payload["workloads"][0]["sensitivity"]["num_sus"]["inert"] \
+        is False
 
 
 def test_cli_explore_no_workload_exits_2(capsys):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.arch.config import CacheConfig, SparseCoreConfig
 from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS
+from repro.arch.transfer import TransferModel
 from repro.difftest.backends import PerRowMachine
 from repro.machine import Machine
 from repro.obs.counters import Counters
@@ -51,7 +52,9 @@ def random_tensor(shape, density, seed):
 
 
 def run(machine_cls, kernel, a, b, config, probe=None):
-    machine = machine_cls(config, name="equiv", probe=probe)
+    machine = machine_cls(name="equiv", probe=probe)
+    if config is not None:
+        machine.transfer = TransferModel(config, machine.obs.counters)
     return machine, kernel(a, b, machine)
 
 
