@@ -213,6 +213,10 @@ class SparseCoreConfig:
         return config_fingerprint(self)
 
 
+#: The SparseCore half of Table 2, which every trace is recorded under.
+_TABLE2_SC = SparseCoreConfig()
+
+
 def sweepable_fields() -> tuple[str, ...]:
     """SparseCore field names a design-space axis may legally vary."""
     # Exactly the fields SparseCoreModel.cost reads: the price-time
@@ -233,6 +237,26 @@ def require_sweepable(field_name: str) -> None:
              f"cannot sweep {field_name!r}: only the fields pricing reads "
              f"move the cycles of a recorded trace; expected one of: "
              + ", ".join(sweepable_fields()))
+
+
+#: SparseCore fields recording bakes into every trace at their Table 2
+#: values (the SU walk width and the memory hierarchy the data-movement
+#: model replays).
+RECORD_TIME_FIELDS = ("su_buffer_width", "scratchpad_bytes", "cache")
+
+
+def require_price_time(configs: "MachineConfigs") -> None:
+    """Raise :class:`ConfigError` when ``configs`` moves a record-time
+    field off its Table 2 value: traces are recorded under the paper
+    preset, so pricing under such a config would report the paper
+    preset's cycles under a different fingerprint."""
+    moved = [name for name in RECORD_TIME_FIELDS
+             if getattr(configs.sparsecore, name) != getattr(_TABLE2_SC, name)]
+    _require(not moved,
+             "cannot price under " + ", ".join(moved) + ": record-time "
+             "fields are baked into every trace at their Table 2 values; "
+             "only the fields pricing reads move the cycles of a recorded "
+             "trace: " + ", ".join(sweepable_fields()))
 
 
 def config_variant(cfg: SparseCoreConfig, field_name: str,
@@ -301,6 +325,7 @@ def register_preset(name: str, configs: MachineConfigs, *,
             f"got {type(configs).__name__}")
     if name in PRESETS and not overwrite:
         raise ConfigError(f"preset {name!r} already registered")
+    require_price_time(configs)
     PRESETS[name] = configs
     return configs
 

@@ -111,6 +111,10 @@ class StreamExecutor:
     def execute(self, instr: Instruction) -> None:
         handler = self._HANDLERS[instr.opcode]
         handler(self, instr)
+        # Price the loads the instruction logged without reading their
+        # cost (a spill), so the data-movement statistics are current
+        # after every instruction.
+        self.transfer.resolve()
         self.instructions_executed += 1
         if self.obs.counters.enabled:
             self.obs.counters.inc(

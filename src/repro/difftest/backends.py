@@ -38,6 +38,12 @@ The stream family runs through six genuinely distinct paths:
     :class:`~repro.arch.simmem.SimMemory`, compute instructions, and
     ``S_FETCH``-until-EOS result extraction.
 
+The GPM and tensor families also run ``per_access``: the recording
+machine with every load charged as it is issued and ``vinter_rows``
+issued per row (:class:`PerAccessMachine`), whose result counts only
+if the default machine, which replays its access log in batches,
+records the same trace and data-movement statistics.
+
 Backends intentionally look up ``ops.<fn>`` at call time so a
 monkeypatched (deliberately broken) kernel is visible to every layer
 that really uses it — that is how the self-check injects bugs.
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arch.transfer import TransferModel
 from repro.difftest.cases import (
     GpmCase,
     StreamCase,
@@ -57,6 +64,7 @@ from repro.difftest.cases import (
     norm_float,
 )
 from repro.machine.context import Machine
+
 # ---------------------------------------------------------------------------
 # stream family
 # ---------------------------------------------------------------------------
@@ -455,13 +463,14 @@ def gpm_bruteforce(case: GpmCase):
     return ("count", int(count))
 
 
-def _gpm_plan(case: GpmCase, use_nested: bool):
+def _gpm_plan(case: GpmCase, use_nested: bool, machine=None):
     from repro.gpm.compiler import compile_pattern
 
     compiled = compile_pattern(case.pattern(),
                                vertex_induced=case.vertex_induced,
                                use_nested=use_nested)
-    count = compiled.count(case.graph(), Machine(name=f"difftest-{case.seed}"))
+    count = compiled.count(case.graph(),
+                           machine or Machine(name=f"difftest-{case.seed}"))
     return ("count", int(count))
 
 
@@ -493,11 +502,51 @@ def gpm_networkx(case: GpmCase):
     return ("count", mappings // len(pattern.automorphisms))
 
 
+def recording_mismatch(machine: Machine, reference: Machine) -> str | None:
+    """The first frozen-trace column or data-movement statistic in which
+    two machines' recordings differ, or None."""
+    from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS
+
+    t1, t2 = machine.trace.freeze(), reference.trace.freeze()
+    for name in _ARRAY_FIELDS:
+        c1, c2 = getattr(t1, name), getattr(t2, name)
+        if c1.dtype != c2.dtype or c1.tobytes() != c2.tobytes():
+            return name
+    for name in _SCALAR_FIELDS:
+        if getattr(t1, name) != getattr(t2, name):
+            return name
+    x1, x2 = machine.transfer, reference.transfer
+    for name in ("cpu_hierarchy", "sc_hierarchy", "scratchpad"):
+        if getattr(x1, name).stats != getattr(x2, name).stats:
+            return f"{name}.stats"
+    return None
+
+
+def _per_access(case, run):
+    """``run(machine)`` through :class:`PerAccessMachine`, its result
+    kept only if the default machine records the same trace and
+    data-movement statistics."""
+    name = f"difftest-{case.seed}"
+    reference = PerAccessMachine(name=name)
+    result = run(reference)
+    machine = Machine(name=name)
+    run(machine)
+    mismatch = recording_mismatch(machine, reference)
+    return result if mismatch is None else ("recording mismatch", mismatch)
+
+
+def gpm_per_access(case: GpmCase):
+    """The GPM plan (nested on odd seeds) under per-access charging."""
+    return _per_access(case, lambda machine: _gpm_plan(
+        case, use_nested=case.seed % 2 == 1, machine=machine))
+
+
 GPM_BACKENDS = {
     "bruteforce": gpm_bruteforce,
     "plan": gpm_plan,
     "plan_nested": gpm_plan_nested,
     "networkx": gpm_networkx,
+    "per_access": gpm_per_access,
 }
 
 
@@ -555,14 +604,14 @@ def tensor_pyref(case: TensorCase):
     return canonical_dense(np.asarray(out, dtype=np.float64))
 
 
-def _spmspm_dataflow(case: TensorCase, dataflow: str, machine_cls=Machine):
+def _spmspm_dataflow(case: TensorCase, dataflow: str, machine=None):
     if case.kind != "spmspm":
         return None
     from repro.tensorops import spmspm
 
     fn = {"inner": spmspm.spmspm_inner, "outer": spmspm.spmspm_outer,
           "gustavson": spmspm.spmspm_gustavson}[dataflow]
-    machine = machine_cls(name=f"difftest-{case.seed}")
+    machine = machine or Machine(name=f"difftest-{case.seed}")
     out = fn(_sparse_a(case), _sparse_b(case), machine)
     return canonical_dense(_pad_dense(out.to_dense(),
                                       (case.a_shape[0], case.b_shape[1])))
@@ -624,23 +673,56 @@ class PerRowMachine(Machine):
                 np.asarray(values, dtype=np.float64))
 
 
+class _PerAccessTransferModel(TransferModel):
+    """A data-movement model that resolves its access log right after
+    every logged access."""
+
+    def _log(self, key, nbytes, priority):
+        cost = super()._log(key, nbytes, priority)
+        self.resolve()
+        return cost
+
+
+class PerAccessMachine(PerRowMachine):
+    """A :class:`PerRowMachine` that charges every load as it is
+    issued, one access at a time: the per-access reference of the
+    recording machine's batched access-log replay."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.transfer = _PerAccessTransferModel(counters=self.obs.counters)
+
+
 def tensor_per_row(case: TensorCase):
     """Inner-product SpMSpM and TTM through :class:`PerRowMachine`."""
+    machine = PerRowMachine(name=f"difftest-{case.seed}")
     if case.kind == "spmspm":
-        return _spmspm_dataflow(case, "inner", PerRowMachine)
+        return _spmspm_dataflow(case, "inner", machine)
     if case.kind == "ttm":
-        return tensor_machine(case, PerRowMachine)
+        return tensor_machine(case, machine)
     return None
 
 
-def tensor_machine(case: TensorCase, machine_cls=Machine):
+def tensor_per_access(case: TensorCase):
+    """One machine kernel per case (the SpMSpM dataflow by seed) under
+    per-access charging."""
+    if case.kind == "spmspm":
+        dataflow = ("inner", "outer", "gustavson")[case.seed % 3]
+        return _per_access(case, lambda machine: _spmspm_dataflow(
+            case, dataflow, machine))
+    return _per_access(case, lambda machine: tensor_machine(case, machine))
+
+
+def tensor_machine(case: TensorCase, machine=None):
     """The machine kernels for TTV / TTM."""
     if case.kind == "spmspm":
         return None
     from repro.tensorops.ttm import ttm
     from repro.tensorops.ttv import ttv
 
-    machine = machine_cls(name=f"difftest-{case.seed}")
+    machine = machine or Machine(name=f"difftest-{case.seed}")
     a, b = _sparse_a(case), _sparse_b(case)
     if case.kind == "ttv":
         out = ttv(a, b, machine).to_dense()
@@ -660,6 +742,7 @@ TENSOR_BACKENDS = {
     "taco": tensor_taco,
     "machine": tensor_machine,
     "per_row": tensor_per_row,
+    "per_access": tensor_per_access,
 }
 
 
@@ -680,8 +763,10 @@ def backends_for(family: str) -> dict:
 __all__ = [
     "FAMILIES",
     "GPM_BACKENDS",
+    "PerAccessMachine",
     "PerRowMachine",
     "STREAM_BACKENDS",
     "TENSOR_BACKENDS",
     "backends_for",
+    "recording_mismatch",
 ]

@@ -117,9 +117,8 @@ class _PlanRunner:
             # only the CSR offset / a searchsorted (free on both).
             keys = base.keys
             if bound != UNBOUNDED:
-                keys = keys[: int(np.searchsorted(keys, bound))]
-            operand = StreamOperand(keys, pending_cpu=base.pending_cpu,
-                                    pending_sc=base.pending_sc)
+                keys = keys[: int(keys.searchsorted(bound))]
+            operand = StreamOperand(keys, charges=base.charges)
             if needs_filter:
                 operand = self._label_filter(operand, level.label)
             return int(operand.keys.size) if counting else operand
@@ -150,9 +149,7 @@ class _PlanRunner:
         if keys.size == 0 or self.graph.labels is None:
             return operand
         mask = self.graph.labels[keys] == label
-        return StreamOperand(keys[mask],
-                             pending_cpu=operand.pending_cpu,
-                             pending_sc=operand.pending_sc)
+        return StreamOperand(keys[mask], charges=operand.charges)
 
     # -- recursion -----------------------------------------------------------------
 

@@ -5,10 +5,13 @@
 ``intersect``/``subtract``/``merge`` (and ``*_count``) for the compute
 instructions, ``vinter``/``vmerge`` for the value instructions, and
 ``nest_intersect`` for ``S_NESTINTER``.  Each call returns the
-functional result and appends one record to the trace; stream loads
-charge the paired CPU/SparseCore memory models at the moment the data
-would move.  ``vinter_rows`` records one ``S_VREAD`` + ``S_VINTER`` per
-row of a CSR matrix in a single call.
+functional result and appends one record to the trace.  Stream loads
+and value gathers are appended, in the order the data would move, to
+the access log of the paired CPU/SparseCore data-movement model, and
+the first op that consumes a loaded stream carries its charge; the log
+is replayed in batches whenever the trace compacts.  ``vinter_rows``
+records one ``S_VREAD`` + ``S_VINTER`` per row of a CSR matrix in a
+single call.
 
 Kernels annotate structure the hardware exploits:
 
@@ -30,12 +33,17 @@ import numpy as np
 
 from repro.arch.config import default_configs
 from repro.arch.trace import NO_BURST, OpKind, su_cycles_for
-from repro.arch.transfer import TransferModel
+from repro.arch.transfer import VALUE_GATHER, BlockCharge, TransferModel
 from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
-from repro.streams.runstats import SU_BUFFER_WIDTH, UNBOUNDED, analyze_pair
+from repro.streams.runstats import (
+    SU_BUFFER_WIDTH,
+    UNBOUNDED,
+    analyze_pair,
+    truncate_bound,
+)
 from repro.streams.stream import KEY_BYTES
 
 _VALUE_BYTES = 8
@@ -49,6 +57,8 @@ CPU_NESTED_LOOP_INSTRS = 8
 #: (operand addresses, call overhead of the generated code).
 OP_SETUP_INSTRS = 4
 
+_VALUE_OPS = (OpKind.VINTER, OpKind.VMERGE)
+
 
 @dataclass(slots=True)
 class StreamOperand:
@@ -58,9 +68,10 @@ class StreamOperand:
     values: np.ndarray | None = None
     #: reuse-model identity of the value data (None for intermediates)
     vgranule: tuple | None = None
-    #: pending memory-stall charges attached to the first consuming op
-    pending_cpu: float = 0.0
-    pending_sc: float = 0.0
+    #: costs (:class:`~repro.arch.transfer.StreamLoadCost`) of the
+    #: loads that produced this operand, taken by the first op that
+    #: consumes it
+    charges: tuple = ()
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -69,10 +80,14 @@ class StreamOperand:
     def has_values(self) -> bool:
         return self.values is not None
 
-    def take_pending(self) -> tuple[float, float]:
-        cpu, sc = self.pending_cpu, self.pending_sc
-        self.pending_cpu = self.pending_sc = 0.0
-        return cpu, sc
+
+def _charged(charges) -> tuple[float, float]:
+    """Total CPU and SparseCore cycles of the load costs ``charges``."""
+    cpu_mem = sc_mem = 0.0
+    for charge in charges:
+        cpu_mem += charge.cpu_cycles
+        sc_mem += charge.sc_cycles
+    return cpu_mem, sc_mem
 
 
 @dataclass
@@ -112,8 +127,9 @@ class Machine:
     hierarchy are the ``paper`` preset's, so a trace depends on the
     workload, its dataset and the scale only."""
 
-    __slots__ = ("obs", "trace", "transfer", "_burst", "record_lengths",
-                 "length_samples", "_clock", "_add_op", "_append_length")
+    __slots__ = ("obs", "trace", "_transfer", "_burst",
+                 "record_lengths", "length_samples", "_clock", "_add_op",
+                 "_append_length")
 
     def __init__(self, name: str = "run", record_lengths: bool = False,
                  probe: Probe | None = None):
@@ -133,6 +149,17 @@ class Machine:
         self._add_op = self.trace.add_op_keys
         self._append_length = self.length_samples.append
 
+    @property
+    def transfer(self) -> TransferModel:
+        """The data-movement model whose access log the loads append
+        to; the trace replays it before every compaction."""
+        return self._transfer
+
+    @transfer.setter
+    def transfer(self, model: TransferModel) -> None:
+        self._transfer = model
+        self.trace.resolve_charges = model.resolve
+
     # -- stream initialization (S_READ / S_VREAD) -----------------------------
 
     def load(self, keys: np.ndarray, granule: tuple | None = None,
@@ -142,15 +169,13 @@ class Machine:
         ``granule`` identifies the memory region for reuse modelling
         (e.g. ``("edges", graph_id, v)``); ``None`` marks data already
         on-chip (an intermediate result)."""
-        operand = StreamOperand(keys)
-        if granule is not None:
-            cost = self.transfer.load_stream(
-                granule, keys.size * KEY_BYTES, priority)
-            operand.pending_cpu = cost.cpu_cycles
-            operand.pending_sc = cost.sc_cycles
-            if self.obs.enabled:
-                self._observe_load(granule, keys.size * KEY_BYTES, cost)
-        return operand
+        if granule is None:
+            return StreamOperand(keys)
+        nbytes = keys.size * KEY_BYTES
+        cost = self._transfer.load_stream(granule, nbytes, priority)
+        if self.obs.enabled:
+            self._observe_load(granule, nbytes, cost.scratchpad_hit)
+        return StreamOperand(keys, charges=(cost,))
 
     def load_values(self, keys: np.ndarray, values: np.ndarray,
                     granule: tuple | None = None,
@@ -175,13 +200,13 @@ class Machine:
         Used when generated code revisits a previously produced stream
         after touching many others in between (e.g. the outer-product
         dataflow cycling through all of C's row accumulators per k);
-        the LRU decides whether the data actually left the hierarchy."""
+        the LRU decides whether the data actually left the hierarchy.
+        The charge adds to any the operand already has pending."""
         nbytes = operand.keys.size * KEY_BYTES
         if operand.values is not None:
             nbytes += operand.values.size * _VALUE_BYTES
-        cost = self.transfer.load_stream(granule, nbytes, priority)
-        operand.pending_cpu += cost.cpu_cycles
-        operand.pending_sc += cost.sc_cycles
+        operand.charges += (self._transfer.load_stream(granule, nbytes,
+                                                       priority),)
         return operand
 
     # -- bursts ----------------------------------------------------------------
@@ -220,7 +245,8 @@ class Machine:
 
     # -- observability -----------------------------------------------------------
 
-    def _observe_load(self, granule: tuple, nbytes: int, cost) -> None:
+    def _observe_load(self, granule: tuple, nbytes: int,
+                      scratchpad_hit: bool) -> None:
         """Count and trace one memory-backed stream load (``S_READ``)."""
         counters = self.obs.counters
         if counters.enabled:
@@ -230,7 +256,7 @@ class Machine:
         if tracer.enabled:
             tracer.instant("fetch " + granule[0], "fetch", self._clock,
                            tid=1, granule=repr(granule), bytes=nbytes,
-                           scratchpad_hit=cost.scratchpad_hit)
+                           scratchpad_hit=scratchpad_hit)
 
     def _observe_op(self, kind: OpKind, stats, *, nested: bool = False,
                     cpu_mem: float = 0.0, sc_mem: float = 0.0,
@@ -281,66 +307,63 @@ class Machine:
             return s
         return StreamOperand(np.asarray(s, dtype=np.int64))
 
-    def _record(self, kind: OpKind, a: StreamOperand, b: StreamOperand,
-                bound: int, *, nested: bool = False,
-                flop_pairs: int = 0, extra_mem: tuple[float, float] = (0, 0)):
-        """Record one op by reference; its analysis is deferred to the
-        trace's batch pass, so count ops take their lengths from the
-        functional kernels."""
-        # Inlined take_pending(): almost every op sees zero pending
-        # charges, so skip the call (and the stores) in that case.
-        cpu_mem, sc_mem = extra_mem
-        if a.pending_cpu or a.pending_sc:
-            cpu_mem += a.pending_cpu
-            sc_mem += a.pending_sc
-            a.pending_cpu = a.pending_sc = 0.0
-        if b.pending_cpu or b.pending_sc:
-            cpu_mem += b.pending_cpu
-            sc_mem += b.pending_sc
-            b.pending_cpu = b.pending_sc = 0.0
-        self._add_op(kind, a.keys, b.keys, bound, burst=self._burst,
-                     nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
-                     flop_pairs=flop_pairs)
+    def _record(self, kind: OpKind, a, b, bound: int, *,
+                flop_pairs: int = 0,
+                gathers: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Record one op by reference, charged with both operands'
+        pending charges and ``gathers`` (its own value gathers); its
+        analysis is deferred to the trace's batch pass, so count ops
+        take their lengths from the functional kernels.  Returns the
+        operands' effective (bound-truncated) keys, which the kernel
+        then takes unbounded, so each operand is truncated once."""
+        a, b = self._coerce(a), self._coerce(b)
+        a_keys, b_keys = a.keys, b.keys
+        if bound >= 0:
+            a_keys = truncate_bound(a_keys, bound)
+            b_keys = truncate_bound(b_keys, bound)
+        charges = a.charges
+        a.charges = ()
+        charges += b.charges + gathers
+        b.charges = ()
+        self._add_op(kind, a_keys, b_keys, UNBOUNDED, burst=self._burst,
+                     flop_pairs=flop_pairs, charges=charges)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
         if self.obs.enabled:
             # Profiled runs observe per-op stats eagerly; the trace
             # itself stays deferred (identical frozen output).
+            cpu_mem, sc_mem = _charged(charges)
             self._observe_op(kind, analyze_pair(a.keys, b.keys, bound),
-                             nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
+                             cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=flop_pairs)
-        if self.record_lengths:
+        if self.record_lengths and kind not in _VALUE_OPS:
+            # Figure 14 samples the key ops' operands only.
             self._append_length(a.keys.size)
             self._append_length(b.keys.size)
+        return a_keys, b_keys
 
     def intersect(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.INTERSECT, a, b, bound)
-        return StreamOperand(ops.intersect(a.keys, b.keys, bound))
+        a_keys, b_keys = self._record(OpKind.INTERSECT, a, b, bound)
+        return StreamOperand(ops.intersect(a_keys, b_keys))
 
     def intersect_count(self, a, b, bound: int = UNBOUNDED) -> int:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.INTERSECT, a, b, bound)
-        return ops.intersect_count(a.keys, b.keys, bound)
+        a_keys, b_keys = self._record(OpKind.INTERSECT, a, b, bound)
+        return ops.intersect_count(a_keys, b_keys)
 
     def subtract(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.SUBTRACT, a, b, bound)
-        return StreamOperand(ops.subtract(a.keys, b.keys, bound))
+        a_keys, b_keys = self._record(OpKind.SUBTRACT, a, b, bound)
+        return StreamOperand(ops.subtract(a_keys, b_keys))
 
     def subtract_count(self, a, b, bound: int = UNBOUNDED) -> int:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.SUBTRACT, a, b, bound)
-        return ops.subtract_count(a.keys, b.keys, bound)
+        a_keys, b_keys = self._record(OpKind.SUBTRACT, a, b, bound)
+        return ops.subtract_count(a_keys, b_keys)
 
     def merge(self, a, b) -> StreamOperand:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.MERGE, a, b, UNBOUNDED)
-        return StreamOperand(ops.merge(a.keys, b.keys))
+        a_keys, b_keys = self._record(OpKind.MERGE, a, b, UNBOUNDED)
+        return StreamOperand(ops.merge(a_keys, b_keys))
 
     def merge_count(self, a, b) -> int:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.MERGE, a, b, UNBOUNDED)
-        return ops.merge_count(a.keys, b.keys)
+        a_keys, b_keys = self._record(OpKind.MERGE, a, b, UNBOUNDED)
+        return ops.merge_count(a_keys, b_keys)
 
     # -- value ops ------------------------------------------------------------------
 
@@ -351,39 +374,27 @@ class Machine:
             )
         return s.values
 
-    def _gather_values(self, operand: StreamOperand,
-                       n_elems: int) -> tuple[float, float]:
-        """Charge a value gather of ``n_elems`` floats for one operand.
+    def _gather_values(self, operand: StreamOperand, n_elems: int) -> tuple:
+        """Log a value gather of ``n_elems`` floats for one operand;
+        returns its cost, as a tuple of none or one.
 
         Only memory-backed value streams (``S_VREAD``) are charged:
         produced intermediates live on-chip (vBuf / S-Cache) until the
         generated code explicitly spills them (:meth:`reload`)."""
         if n_elems <= 0 or operand.vgranule is None:
-            return 0.0, 0.0
-        cost = self.transfer.load_values(operand.vgranule,
-                                         n_elems * _VALUE_BYTES)
-        return cost.cpu_cycles, cost.sc_cycles
+            return ()
+        return (self._transfer.load_values(operand.vgranule,
+                                           n_elems * _VALUE_BYTES),)
 
     def vinter(self, a: StreamOperand, b: StreamOperand,
                op: str = "MAC", bound: int = UNBOUNDED) -> float:
         """``S_VINTER``: reduce over value pairs of intersected keys."""
         av, bv = self._require_values(a), self._require_values(b)
         n_matches = ops.intersect_count(a.keys, b.keys, bound)
-        ga = self._gather_values(a, n_matches)
-        gb = self._gather_values(b, n_matches)
-        cpu_a, sc_a = a.take_pending()
-        cpu_b, sc_b = b.take_pending()
-        cpu_mem = cpu_a + cpu_b + (ga[0] + gb[0])
-        sc_mem = sc_a + sc_b + (ga[1] + gb[1])
-        self._add_op(OpKind.VINTER, a.keys, b.keys, bound,
-                     burst=self._burst, cpu_mem=cpu_mem, sc_mem=sc_mem,
-                     flop_pairs=n_matches)
-        self.trace.add_scalar(OP_SETUP_INSTRS)
-        if self.obs.enabled:
-            self._observe_op(OpKind.VINTER,
-                             analyze_pair(a.keys, b.keys, bound),
-                             cpu_mem=cpu_mem, sc_mem=sc_mem,
-                             flop_pairs=n_matches)
+        gathers = (self._gather_values(a, n_matches)
+                   + self._gather_values(b, n_matches))
+        self._record(OpKind.VINTER, a, b, bound, flop_pairs=n_matches,
+                     gathers=gathers)
         return ops.vinter(a.keys, av, b.keys, bv, op, bound)
 
     def vinter_rows(self, a: StreamOperand, mat, granule: tuple,
@@ -396,8 +407,9 @@ class Machine:
 
         Records exactly what the per-row ``load_values`` + :meth:`vinter`
         loop records.  The functional results depend on no memory state,
-        so they are all computed first; the data-movement charges are
-        then still taken one op at a time, in the per-row order."""
+        so they are all computed first; the row loads and value gathers
+        then go to the access log as one list, in the per-row order, and
+        the ops to the trace as one block."""
         av = self._require_values(a)
         indptr = mat.indptr
         row_ids = np.flatnonzero(indptr[1:] != indptr[:-1])
@@ -405,43 +417,76 @@ class Machine:
                                          mat.data)
         if row_ids.size == 0:
             return row_ids, values[row_ids]
-        load_stream = self.transfer.load_stream
-        load_values = self.transfer.load_values
-        add_op = self._add_op
-        burst = self._burst
-        observe = self.obs.enabled
-        a_keys, a_vgranule = a.keys, a.vgranule
-        vgranule = ("vals",) + granule
-        indices = mat.indices
-        bounds = indptr.tolist()
-        cpu_a, sc_a = a.take_pending()
-        for k, m in zip(row_ids.tolist(), counts[row_ids].tolist()):
-            lo, hi = bounds[k], bounds[k + 1]
-            row_keys = indices[lo:hi]
-            row_granule = granule + (k,)
-            cost = load_stream(row_granule, (hi - lo) * KEY_BYTES, priority)
-            if observe:
-                self._observe_load(row_granule, (hi - lo) * KEY_BYTES, cost)
-            ga = gb = (0.0, 0.0)
-            if m > 0:
-                if a_vgranule is not None:
-                    g = load_values(a_vgranule, m * _VALUE_BYTES)
-                    ga = (g.cpu_cycles, g.sc_cycles)
-                g = load_values(vgranule + (k,), m * _VALUE_BYTES)
-                gb = (g.cpu_cycles, g.sc_cycles)
-            cpu_mem = cpu_a + cost.cpu_cycles + (ga[0] + gb[0])
-            sc_mem = sc_a + cost.sc_cycles + (ga[1] + gb[1])
-            cpu_a = sc_a = 0.0
-            add_op(OpKind.VINTER, a_keys, row_keys, UNBOUNDED, burst=burst,
-                   cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=m)
-            if observe:
-                self._observe_op(OpKind.VINTER,
-                                 analyze_pair(a_keys, row_keys),
-                                 cpu_mem=cpu_mem, sc_mem=sc_mem,
-                                 flop_pairs=m)
+        starts, ends = indptr[row_ids], indptr[row_ids + 1]
+        row_sizes = (ends - starts).astype(np.int64)
+        flops = counts[row_ids].astype(np.int64)
+        # The non-empty rows' keys, back to back.
+        b_keys = mat.indices[starts[0]:ends[-1]]
+        lead = a.charges
+        a.charges = ()
+        charge = self._log_rows(a, granule, max(priority, 0), row_ids,
+                                row_sizes, flops, indptr.size - 1)
+        self.trace.add_op_block(OpKind.VINTER, a.keys, b_keys, row_sizes,
+                                burst=self._burst, flop_pairs=flops,
+                                charge=charge, lead=lead)
         self.trace.shared_scalar_instrs += row_ids.size * (OP_SETUP_INSTRS
                                                            + loop_instrs)
+        if self.obs.enabled:
+            self._observe_rows(a, granule, priority, row_ids, b_keys,
+                               row_sizes, flops, charge, lead)
         return row_ids, values[row_ids]
+
+    def _log_rows(self, a, granule, priority, row_ids, row_sizes, matches,
+                  n_rows) -> BlockCharge:
+        """Log :meth:`vinter_rows`'s accesses in one call, built as
+        columns: each row's stream load, then, when the row has
+        matches, the gathers of ``a``'s and the row's values.  Each op
+        is charged its row's accesses."""
+        transfer = self._transfer
+        gathers = matches > 0
+        has_a = a.vgranule is not None
+        per_row = 1 + gathers * (1 + has_a)
+        first = np.cumsum(per_row) - per_row
+        total = int(first[-1] + per_row[-1])
+        ids = np.empty(total, dtype=np.int64)
+        sizes = np.empty(total, dtype=np.int64)
+        priorities = np.full(total, VALUE_GATHER, dtype=np.int64)
+        ids[first] = transfer.region_ids(granule, n_rows)[row_ids]
+        sizes[first] = row_sizes * KEY_BYTES
+        priorities[first] = priority
+        at = first[gathers] + 1
+        value_bytes = matches[gathers] * _VALUE_BYTES
+        if has_a:
+            ids[at] = transfer.granule_id(a.vgranule)
+            sizes[at] = value_bytes
+            at += 1
+        ids[at] = transfer.region_ids(("vals",) + granule,
+                                      n_rows)[row_ids[gathers]]
+        sizes[at] = value_bytes
+        charge = BlockCharge(first)
+        transfer.log_block(ids.tolist(), sizes.tolist(), priorities.tolist(),
+                           charge)
+        return charge
+
+    def _observe_rows(self, a, granule, priority, row_ids, b_keys,
+                      row_sizes, flops, charge, lead) -> None:
+        """Observe :meth:`vinter_rows`'s loads and ops in the per-row
+        order, each row's load then its op, from the resolved block."""
+        self._transfer.resolve()
+        hits = ((charge.first_sc == 0.0) & (priority > 0)).tolist()
+        cpu, sc = charge.cpu.tolist(), charge.sc.tolist()
+        lead_cpu, lead_sc = _charged(lead)
+        cpu[0] += lead_cpu
+        sc[0] += lead_sc
+        end = 0
+        for k, size, m, hit, cpu_mem, sc_mem in zip(
+                row_ids.tolist(), row_sizes.tolist(), flops.tolist(), hits,
+                cpu, sc):
+            row_keys = b_keys[end:end + size]
+            end += size
+            self._observe_load(granule + (k,), size * KEY_BYTES, hit)
+            self._observe_op(OpKind.VINTER, analyze_pair(a.keys, row_keys),
+                             cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=m)
 
     def vmerge(self, alpha: float, a: StreamOperand,
                beta: float, b: StreamOperand) -> StreamOperand:
@@ -451,22 +496,10 @@ class Machine:
         # first (its length is the FLOP count) charges nothing out of
         # order.
         keys, vals = ops.vmerge(alpha, a.keys, av, beta, b.keys, bv)
-        n_out = int(keys.size)
-        ga = self._gather_values(a, len(a))
-        gb = self._gather_values(b, len(b))
-        cpu_a, sc_a = a.take_pending()
-        cpu_b, sc_b = b.take_pending()
-        cpu_mem = cpu_a + cpu_b + (ga[0] + gb[0])
-        sc_mem = sc_a + sc_b + (ga[1] + gb[1])
-        self._add_op(OpKind.VMERGE, a.keys, b.keys, UNBOUNDED,
-                     burst=self._burst, cpu_mem=cpu_mem, sc_mem=sc_mem,
-                     flop_pairs=n_out)
-        self.trace.add_scalar(OP_SETUP_INSTRS)
-        if self.obs.enabled:
-            self._observe_op(OpKind.VMERGE,
-                             analyze_pair(a.keys, b.keys),
-                             cpu_mem=cpu_mem, sc_mem=sc_mem,
-                             flop_pairs=n_out)
+        gathers = (self._gather_values(a, len(a))
+                   + self._gather_values(b, len(b)))
+        self._record(OpKind.VMERGE, a, b, UNBOUNDED,
+                     flop_pairs=int(keys.size), gathers=gathers)
         return StreamOperand(keys, vals)
 
     # -- nested intersection (S_NESTINTER) ------------------------------------------
@@ -477,25 +510,28 @@ class Machine:
         The dependent edge-list streams are generated by the processor
         from the GFRs; the translator's sub-ops all share one burst and
         carry no scalar loop overhead on SparseCore (the CPU runs the
-        explicit loop instead)."""
+        explicit loop instead).  The first sub-op takes ``s``'s pending
+        charge."""
         s = self._coerce(s)
         total = 0
-        cpu_pend, sc_pend = s.take_pending()
+        pending = s.charges
+        s.charges = ()
         with self.burst():
             for s_i in s.keys.tolist():
                 nbr = self.neighbors(graph, s_i)
-                cpu_n, sc_n = nbr.take_pending()
-                cpu_mem, sc_mem = cpu_n + cpu_pend, sc_n + sc_pend
-                self._add_op(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
-                             burst=self._burst, nested=True,
-                             cpu_mem=cpu_mem, sc_mem=sc_mem)
+                charges = nbr.charges + pending
+                pending = ()
+                s_eff = truncate_bound(s.keys, s_i)
+                n_eff = truncate_bound(nbr.keys, s_i)
+                self._add_op(OpKind.INTERSECT, s_eff, n_eff, UNBOUNDED,
+                             burst=self._burst, nested=True, charges=charges)
                 if self.obs.enabled:
+                    cpu_mem, sc_mem = _charged(charges)
                     self._observe_op(OpKind.INTERSECT,
                                      analyze_pair(s.keys, nbr.keys, s_i),
                                      nested=True, cpu_mem=cpu_mem,
                                      sc_mem=sc_mem)
-                total += ops.intersect_count(s.keys, nbr.keys, s_i)
-                cpu_pend = sc_pend = 0.0
+                total += ops.intersect_count(s_eff, n_eff)
                 self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS)
                 if self.record_lengths:
                     self.length_samples.append(len(s))

@@ -7,10 +7,12 @@ would dominate cold recording.  :class:`ColumnarTrace`, the trace every
 :class:`~repro.machine.context.Machine` records into, decouples
 traversal from analysis instead: recording an op only stores
 references to its (bound-truncated) key arrays plus the scalar operands
-(kind, burst id, memory charges), and the merge-run statistics of *all*
-pending operations are computed in one vectorised pass at
-:meth:`ColumnarTrace.freeze` time (or earlier, when a compaction
-threshold bounds held memory).
+(kind, burst id, the handles of its memory charges), and the merge-run
+statistics of *all* pending operations are computed in one vectorised
+pass at :meth:`ColumnarTrace.freeze` time (or earlier, when a
+compaction threshold bounds held memory).  Each compaction first has
+the recording machine replay its access log, which resolves the
+charges the pending ops hold.
 
 The batch analyser :func:`analyze_segments` concatenates every
 operand pair into two flat key arrays, offsetting each operation's keys
@@ -50,18 +52,25 @@ _COL_DTYPES = (np.int8, np.int64, np.int64, np.int64, np.int64, np.int64,
                np.int64, np.int64, np.bool_, np.float64, np.float64)
 
 
-def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
+def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH, *,
+                     sizes=None):
     """Batched :func:`~repro.streams.runstats.analyze_pair` over n ops.
 
     ``a_list``/``b_list`` hold the *effective* (already bound-truncated)
-    sorted key arrays of each operation.  Returns seven aligned int64
-    columns: ``eff_a``, ``eff_b``, ``n_union``, ``n_matches``,
-    ``n_runs``, ``su_cycles_intersect``, ``su_cycles_submerge`` —
-    value-identical to calling ``analyze_pair`` per op.
+    sorted key arrays of each operation, or, when ``sizes`` gives the
+    per-op key counts ``(na, nb)``, arrays whose concatenations hold
+    every op's keys in op order.  Returns seven aligned int64 columns:
+    ``eff_a``, ``eff_b``, ``n_union``, ``n_matches``, ``n_runs``,
+    ``su_cycles_intersect``, ``su_cycles_submerge`` — value-identical to
+    calling ``analyze_pair`` per op.
     """
-    n = len(a_list)
-    na = np.fromiter((a.size for a in a_list), count=n, dtype=np.int64)
-    nb = np.fromiter((b.size for b in b_list), count=n, dtype=np.int64)
+    if sizes is None:
+        n = len(a_list)
+        na = np.fromiter((a.size for a in a_list), count=n, dtype=np.int64)
+        nb = np.fromiter((b.size for b in b_list), count=n, dtype=np.int64)
+    else:
+        na, nb = sizes
+        n = na.size
     n_union = np.zeros(n, dtype=np.int64)
     n_matches = np.zeros(n, dtype=np.int64)
     n_runs = np.zeros(n, dtype=np.int64)
@@ -84,8 +93,11 @@ def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
     if n > 1 and K > (2 ** 62) // n:
         # Offsets would overflow int64: split the batch and recurse.
         mid = n // 2
-        left = analyze_segments(a_list[:mid], b_list[:mid], width)
-        right = analyze_segments(a_list[mid:], b_list[mid:], width)
+        a_mid, b_mid = int(na[:mid].sum()), int(nb[:mid].sum())
+        left = analyze_segments([A[:a_mid]], [B[:b_mid]], width,
+                                sizes=(na[:mid], nb[:mid]))
+        right = analyze_segments([A[a_mid:]], [B[b_mid:]], width,
+                                 sizes=(na[mid:], nb[mid:]))
         return tuple(np.concatenate((lo, hi))
                      for lo, hi in zip(left, right))
 
@@ -149,6 +161,79 @@ def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
     return na, nb, n_union, n_matches, n_runs, su_int, su_sub
 
 
+def _add_charges(cpu_l, sc_l, charge_l):
+    """Each op's own memory cycles plus its resolved charges, summed in
+    consumption order.  Every charge is a whole or half cycle count
+    (line counts times integer per-line costs; value gathers halve a
+    demand cost), so each partial sum is exact in float64 and no
+    summation order could change a bit."""
+    cpu, sc = list(cpu_l), list(sc_l)
+    for i, cells in enumerate(charge_l):
+        if cells:
+            c, s = cpu[i], sc[i]
+            for cell in cells:
+                c += cell.cpu
+                s += cell.sc
+            cpu[i], sc[i] = c, s
+    return cpu, sc
+
+
+def _op_columns(run: list[tuple]) -> tuple:
+    """Columns of a run of single pending ops (see
+    :meth:`_OpBlock.columns`)."""
+    (kind_l, a_l, b_l, burst_l, nested_l, cpu_l, sc_l, flop_l,
+     charge_l) = zip(*run)
+    if any(charge_l):
+        cpu_l, sc_l = _add_charges(cpu_l, sc_l, charge_l)
+    n = len(run)
+    return (np.array(kind_l, dtype=np.int8),
+            np.array(burst_l, dtype=np.int64),
+            np.array(nested_l, dtype=bool),
+            np.array(cpu_l, dtype=np.float64),
+            np.array(sc_l, dtype=np.float64),
+            np.array(flop_l, dtype=np.int64),
+            np.fromiter((a.size for a in a_l), count=n, dtype=np.int64),
+            np.fromiter((b.size for b in b_l), count=n, dtype=np.int64),
+            a_l, b_l)
+
+
+class _OpBlock:
+    """Ops ``lo`` to ``hi - 1`` of one :meth:`ColumnarTrace.add_op_block`
+    call, pending as a whole."""
+
+    __slots__ = ("kind", "a_keys", "b_keys", "b_sizes", "burst",
+                 "flop_pairs", "charge", "lo", "hi", "lead")
+
+    def __init__(self, kind, a_keys, b_keys, b_sizes, burst, flop_pairs,
+                 charge, lo, hi, lead):
+        self.kind = kind
+        self.a_keys = a_keys
+        self.b_keys = b_keys
+        self.b_sizes = b_sizes
+        self.burst = burst
+        self.flop_pairs = flop_pairs
+        self.charge = charge
+        self.lo = lo
+        self.hi = hi
+        self.lead = lead
+
+    def columns(self) -> tuple:
+        """kind, burst, nested, cpu_mem, sc_mem and flop_pairs per op,
+        the per-op key counts of both operands, and arrays whose
+        concatenations hold the operands' keys in op order."""
+        n = self.hi - self.lo
+        cpu_mem = self.charge.cpu[self.lo:self.hi].copy()
+        sc_mem = self.charge.sc[self.lo:self.hi].copy()
+        for charge in self.lead:
+            cpu_mem[0] += charge.cpu
+            sc_mem[0] += charge.sc
+        return (np.full(n, self.kind, dtype=np.int8),
+                np.full(n, self.burst, dtype=np.int64),
+                np.zeros(n, dtype=bool), cpu_mem, sc_mem, self.flop_pairs,
+                np.full(n, self.a_keys.size, dtype=np.int64), self.b_sizes,
+                [np.tile(self.a_keys, n)], [self.b_keys])
+
+
 class ColumnarTrace:
     """Deferred-analysis trace with the :class:`~repro.arch.trace.Trace`
     recording API.
@@ -156,13 +241,15 @@ class ColumnarTrace:
     Scalar accounting (:meth:`add_scalar` and friends), burst ids, and
     :meth:`freeze` behave exactly like ``Trace``; the per-op entry point
     is :meth:`add_op_keys`, which captures operand *arrays* instead of
-    pre-computed :class:`~repro.streams.runstats.OpStats`.
+    pre-computed :class:`~repro.streams.runstats.OpStats`, and
+    :meth:`add_op_block` captures a block of ops in one call.
     """
 
     __slots__ = ("name", "shared_scalar_instrs", "cpu_only_scalar_instrs",
                  "sc_only_scalar_instrs", "_next_burst", "_frozen",
                  "_width", "_compact_elems", "_pending", "_append_pending",
-                 "_pending_elems", "_segments", "_n_ops")
+                 "_block_at", "_pending_elems", "_segments", "_n_ops",
+                 "resolve_charges")
 
     def __init__(self, name: str = "trace", *,
                  width: int = SU_BUFFER_WIDTH,
@@ -176,14 +263,20 @@ class ColumnarTrace:
         self._width = width
         self._compact_elems = compact_elems
         #: deferred ops: (kind, a_eff, b_eff, burst, nested, cpu_mem,
-        #: sc_mem, flop_pairs)
-        self._pending: list[tuple] = []
+        #: sc_mem, flop_pairs, charges) each, or an _OpBlock
+        self._pending: list = []
         self._append_pending = self._pending.append
+        #: positions of the _OpBlocks in _pending
+        self._block_at: list[int] = []
         self._pending_elems = 0
         #: analysed column batches, each a tuple of 11 arrays in
         #: _ARRAY_FIELDS order
         self._segments: list[tuple] = []
         self._n_ops = 0
+        #: called before every compaction so that the charges of the
+        #: pending ops are resolved (the recording machine's
+        #: :meth:`~repro.arch.transfer.TransferModel.resolve`)
+        self.resolve_charges = None
 
     # -- recording ---------------------------------------------------------
 
@@ -196,13 +289,17 @@ class ColumnarTrace:
                     b_keys: np.ndarray, bound: int = UNBOUNDED, *,
                     burst: int = NO_BURST, nested: bool = False,
                     cpu_mem: float = 0.0, sc_mem: float = 0.0,
-                    flop_pairs: int = 0) -> None:
+                    flop_pairs: int = 0, charges: tuple = ()) -> None:
         """Record one stream op by reference; analysis happens in bulk.
 
         The bound truncation is applied *now* (it is cheap and lets the
         batch analyser treat every operand as effective keys); operand
         arrays are held by reference until the next compaction, per the
         stream contract that key arrays are never mutated in place.
+        ``cpu_mem``/``sc_mem`` are the op's own memory stall cycles;
+        ``charges`` are the costs
+        (:class:`~repro.arch.transfer.StreamLoadCost`) of the loads it
+        consumes, added in once they are resolved.
         """
         self._frozen = None
         if bound >= 0:
@@ -211,11 +308,47 @@ class ColumnarTrace:
         else:
             a_eff, b_eff = a_keys, b_keys
         self._append_pending((int(kind), a_eff, b_eff, burst, nested,
-                              cpu_mem, sc_mem, flop_pairs))
+                              cpu_mem, sc_mem, flop_pairs, charges))
         self._n_ops += 1
         self._pending_elems += a_eff.size + b_eff.size
         if self._pending_elems >= self._compact_elems:
             self._compact()
+
+    def add_op_block(self, kind: OpKind, a_keys: np.ndarray,
+                     b_keys: np.ndarray, b_sizes: np.ndarray, *,
+                     burst: int = NO_BURST, flop_pairs: np.ndarray,
+                     charge, lead: tuple = ()) -> None:
+        """Record one unbounded op of ``kind`` per entry of ``b_sizes``:
+        op ``i`` takes ``a_keys`` and the next ``b_sizes[i]`` keys of the
+        flat ``b_keys``, ``flop_pairs[i]``, and op ``i``'s cycles of the
+        :class:`~repro.arch.transfer.BlockCharge` ``charge``; the first
+        op also takes the ``lead`` charges.  The same as one
+        :meth:`add_op_keys` call per op, compactions included."""
+        n = b_sizes.size
+        if n == 0:
+            return
+        self._frozen = None
+        self._n_ops += n
+        kind = int(kind)
+        elems = np.cumsum(b_sizes + a_keys.size)  # through each op
+        b_end = np.cumsum(b_sizes)
+        lo = 0
+        while lo < n:
+            done = int(elems[lo - 1]) if lo else 0
+            stop = int(np.searchsorted(
+                elems, done + self._compact_elems - self._pending_elems)) + 1
+            hi = min(stop, n)
+            b_lo = int(b_end[lo - 1]) if lo else 0
+            self._block_at.append(len(self._pending))
+            self._pending.append(_OpBlock(
+                kind, a_keys, b_keys[b_lo:int(b_end[hi - 1])],
+                b_sizes[lo:hi], burst, flop_pairs[lo:hi], charge, lo, hi,
+                lead if lo == 0 else ()))
+            if stop > n:
+                self._pending_elems += int(elems[-1]) - done
+                break
+            self._compact()
+            lo = stop
 
     def add_scalar(self, n: int) -> None:
         """Scalar instructions both machines execute (app logic)."""
@@ -232,20 +365,32 @@ class ColumnarTrace:
     # -- batch analysis ----------------------------------------------------
 
     def _compact(self) -> None:
-        """Analyse every pending op into one columnar segment."""
+        """Resolve the pending charges, then analyse every pending op
+        into one columnar segment."""
+        if self.resolve_charges is not None:
+            self.resolve_charges()
         pend = self._pending
         if not pend:
             return
-        (kind_l, a_l, b_l, burst_l, nested_l, cpu_l, sc_l,
-         flop_l) = zip(*pend)
-        kind = np.array(kind_l, dtype=np.int8)
-        burst = np.array(burst_l, dtype=np.int64)
-        nested = np.array(nested_l, dtype=bool)
-        cpu_mem = np.array(cpu_l, dtype=np.float64)
-        sc_mem = np.array(sc_l, dtype=np.float64)
-        flop_pairs = np.array(flop_l, dtype=np.int64)
+        parts, start = [], 0
+        for at in self._block_at:
+            if at > start:
+                parts.append(_op_columns(pend[start:at]))
+            parts.append(pend[at].columns())
+            start = at + 1
+        if start < len(pend):
+            parts.append(_op_columns(pend[start:]))
+        if len(parts) == 1:
+            columns = parts[0]
+        else:
+            columns = [np.concatenate(col) for col in zip(*(
+                part[:8] for part in parts))]
+            columns.append([a for part in parts for a in part[8]])
+            columns.append([b for part in parts for b in part[9]])
+        (kind, burst, nested, cpu_mem, sc_mem, flop_pairs, na, nb, a_parts,
+         b_parts) = columns
         eff_a, eff_b, n_union, n_matches, n_runs, su_int, su_sub = \
-            analyze_segments(a_l, b_l, self._width)
+            analyze_segments(a_parts, b_parts, self._width, sizes=(na, nb))
         # Kind dispatch, vectorised (cf. Trace.add_op): INTERSECT/VINTER
         # emit one match per cycle, SUBTRACT/MERGE/VMERGE at window rate.
         is_inter = (kind == 0) | (kind == 3)
@@ -259,6 +404,7 @@ class ColumnarTrace:
         ))
         self._pending = []
         self._append_pending = self._pending.append
+        self._block_at = []
         self._pending_elems = 0
 
     # -- introspection -----------------------------------------------------

@@ -43,7 +43,7 @@ def _match_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean mask over ``a`` marking keys that also occur in ``b``."""
     if a.size == 0 or b.size == 0:
         return np.zeros(a.size, dtype=bool)
-    idx = np.searchsorted(b, a)
+    idx = b.searchsorted(a)
     mask = idx < b.size
     mask[mask] = b[idx[mask]] == a[mask]
     return mask

@@ -110,7 +110,8 @@ def truncate_bound(keys: np.ndarray, bound: int) -> np.ndarray:
     """Keep only keys strictly below ``bound`` (no-op when unbounded)."""
     if bound < 0 or keys.size == 0 or keys[-1] < bound:
         return keys
-    return keys[: int(np.searchsorted(keys, bound, side="left"))]
+    # The ndarray method: np.searchsorted's wrapper costs ~3x more.
+    return keys[: int(keys.searchsorted(bound))]
 
 
 #: Below this combined operand size the pure-Python merge walk beats

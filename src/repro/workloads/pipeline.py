@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arch.config import require_price_time
 from repro.workloads.pricing import OPERAND_SEED, price_run, tensor_operands
 from repro.workloads.registry import get_workload
 from repro.workloads.spec import WorkloadSpec
@@ -154,11 +155,14 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     under any number of design points — which is what makes
     :mod:`repro.explore` sweeps cheap.  The config fingerprint is part
     of every *priced-result* identity instead (memo keys, engine job
-    keys).
+    keys).  A ``config`` that moves a record-time field off Table 2
+    raises :class:`~repro.errors.ConfigError`.
     """
     from repro.obs.spans import clock
     from repro.resilience.faults import inject
 
+    if config is not None:
+        require_price_time(config)
     led = clock()
     t0 = led.start()
     spec = get_workload(workload) if isinstance(workload, str) else workload

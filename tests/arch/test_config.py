@@ -223,6 +223,39 @@ def test_register_preset_no_silent_overwrite():
         PRESETS.pop(name, None)
 
 
+#: A config moving all three record-time fields off Table 2 (it used to
+#: price triangle at scale 0.2 at the paper preset's 17315.1 cycles
+#: under fingerprint fb5c608be94fabd0 instead of 86a84469e8c885f8).
+RECORD_TIME_MOVED = MachineConfigs(sparsecore=SparseCoreConfig(
+    scratchpad_bytes=1024, su_buffer_width=4,
+    cache=CacheConfig(l2_bytes=4096)))
+
+
+def test_register_preset_refuses_record_time_fields():
+    name = "test-record-time-preset"
+    with pytest.raises(ConfigError, match="scratchpad_bytes") as info:
+        register_preset(name, RECORD_TIME_MOVED)
+    for field_name in ("su_buffer_width", "cache"):
+        assert field_name in str(info.value)
+    assert name not in PRESETS
+    with pytest.raises(ConfigError, match="cache"):
+        register_preset(name, MachineConfigs(sparsecore=SparseCoreConfig(
+            cache=CacheConfig(l1d_bytes=1 << 16))))
+    assert name not in PRESETS
+
+
+def test_run_workload_refuses_record_time_fields():
+    from repro.workloads import run_workload
+
+    with pytest.raises(ConfigError, match="su_buffer_width") as info:
+        run_workload("triangle", scale=0.2, config=RECORD_TIME_MOVED)
+    for field_name in ("scratchpad_bytes", "cache"):
+        assert field_name in str(info.value)
+    with pytest.raises(ConfigError, match="scratchpad_bytes"):
+        run_workload("triangle", scale=0.2, config=MachineConfigs(
+            sparsecore=SparseCoreConfig(scratchpad_bytes=1024)))
+
+
 # -- golden: the paper preset prices bit-identically to the defaults ---------
 
 def test_paper_preset_prices_bit_identical():

@@ -1,5 +1,7 @@
 """Tests for the LRU cache-hierarchy model."""
 
+from collections import OrderedDict
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -112,16 +114,34 @@ class TestCacheHierarchy:
         assert h.access(("v", 1), 64) == h.config.dram_latency
 
 
-class PopReinsertLru(LruBytes):
-    """The LRU without the same-size hit fast path: every access pops
-    the entry and re-inserts it, evicting from the LRU end."""
+class PopReinsertLru:
+    """The reference LRU, one access at a time and without the
+    same-size hit fast path: every access pops the entry and re-inserts
+    it, evicting from the LRU end until it fits."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._entries = OrderedDict()
+        self._used = 0
 
     def access(self, key, nbytes):
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._used -= entry
-        self._insert(key, nbytes)
+        nbytes = min(nbytes, self.capacity)
+        while self._used + nbytes > self.capacity and self._entries:
+            _, evicted = self._entries.popitem(last=False)
+            self._used -= evicted
+        self._entries[key] = nbytes
+        self._used += nbytes
         return entry is not None
+
+    def replay(self, keys, sizes):
+        return [self.access(key, nbytes) for key, nbytes in zip(keys, sizes)]
+
+    @property
+    def used_bytes(self):
+        return self._used
 
 
 # Few keys, so hits are common; sizes from 0 past the capacity, so hits
@@ -138,6 +158,19 @@ class TestLruFastPath:
             assert fast.access((key,), nbytes) == ref.access((key,), nbytes)
             assert fast.used_bytes == ref.used_bytes <= capacity
         assert list(fast._entries.items()) == list(ref._entries.items())
+
+    @given(st.integers(1, 256), accesses, st.integers(0, 80))
+    def test_replay_matches_pop_and_reinsert(self, capacity, seq, split):
+        """A whole sequence replayed in two windows gives the reference's
+        hit flags, used bytes and final LRU order."""
+        lru, ref = LruBytes(capacity), PopReinsertLru(capacity)
+        keys = [(key,) for key, _ in seq]
+        sizes = [nbytes for _, nbytes in seq]
+        hits = (lru.replay(keys[:split], sizes[:split])
+                + lru.replay(keys[split:], sizes[split:]))
+        assert hits == ref.replay(keys, sizes)
+        assert lru.used_bytes == ref.used_bytes <= capacity
+        assert list(lru._entries.items()) == list(ref._entries.items())
 
     @given(accesses, st.booleans())
     def test_hierarchy_stats_match(self, seq, pipelined):
@@ -156,3 +189,20 @@ class TestLruFastPath:
                 assert fast.access((key,), nbytes) == ref.access((key,),
                                                                  nbytes)
         assert fast.stats == ref.stats
+
+    @given(accesses, st.lists(st.booleans(), min_size=80, max_size=80),
+           st.booleans())
+    def test_hierarchy_replay_matches_per_access(self, seq, flags, use_l1):
+        """One replay of a mixed demand/prefetch sequence costs each
+        access what touching the levels one access at a time does."""
+        config = CacheConfig(l1d_bytes=128, l2_bytes=256, l3_bytes=512)
+        batched = CacheHierarchy(config, use_l1=use_l1)
+        ref = CacheHierarchy(config, use_l1=use_l1)
+        keys = [(key,) for key, _ in seq]
+        sizes = [nbytes for _, nbytes in seq]
+        pipelined = flags[:len(seq)]
+        expected = [ref.access_pipelined(key, nbytes) if pipe
+                    else ref.access(key, nbytes)
+                    for key, nbytes, pipe in zip(keys, sizes, pipelined)]
+        assert batched.replay(keys, sizes, pipelined) == expected
+        assert batched.stats == ref.stats

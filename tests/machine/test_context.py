@@ -120,19 +120,34 @@ class TestRecording:
         m.intersect_count(keys(1, 2, 3), keys(4))
         assert m.length_samples == [3, 1]
 
+    def test_value_ops_take_no_length_samples(self):
+        """Figure 14 samples key-op operands: S_VINTER and S_VMERGE
+        record none."""
+        m = Machine(record_lengths=True)
+        a = StreamOperand(keys(1, 2, 3), np.ones(3))
+        b = StreamOperand(keys(2, 5), np.ones(2))
+        m.vinter(a, b)
+        m.vmerge(1.0, a, 2.0, b)
+        assert m.length_samples == []
+
     def test_scratchpad_priority_load(self):
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2)])
         m = Machine()
         m.neighbors(g, 1, priority=1)
         op = m.neighbors(g, 1, priority=1)  # scratchpad hit
-        assert op.pending_sc == 0.0
+        m.intersect_count(op, op)  # takes the second load's charge
+        f = m.trace.freeze()
+        assert f.sc_mem[0] == 0.0
+        assert f.cpu_mem[0] > 0
 
     def test_reload_charges_pending(self):
         m = Machine()
         op = StreamOperand(keys(1, 2, 3), np.ones(3))
         m.reload(op, ("acc", 1))
-        assert op.pending_cpu > 0
-        assert op.pending_sc > 0
+        m.merge_count(op, keys(4))
+        f = m.trace.freeze()
+        assert f.cpu_mem[0] > 0
+        assert f.sc_mem[0] > 0
 
 
 class TestAppRunHelpers:

@@ -136,13 +136,21 @@ def test_counters_only_probe_matches():
 
 def test_no_rows_leaves_pending_charges():
     """With no non-empty row nothing is issued, so the stream's load
-    charge stays pending, as in the per-row loop."""
-    machine = Machine()
-    a = machine.load_values(np.array([1, 2], dtype=np.int64),
-                            np.array([1.0, 2.0]), ("arow", 0, 0))
-    pending = (a.pending_cpu, a.pending_sc)
-    empty = SparseMatrix.from_dense(np.zeros((3, 4)))
-    row_ids, values = machine.vinter_rows(a, empty, ("bcol", 0))
-    assert row_ids.size == values.size == 0
-    assert machine.trace.num_ops == 0
-    assert (a.pending_cpu, a.pending_sc) == pending
+    charge stays pending, as in the per-row loop: the next op that
+    consumes the stream carries it."""
+    def first_op_charges(call_vinter_rows):
+        machine = Machine()
+        a = machine.load_values(np.array([1, 2], dtype=np.int64),
+                                np.array([1.0, 2.0]), ("arow", 0, 0))
+        if call_vinter_rows:
+            empty = SparseMatrix.from_dense(np.zeros((3, 4)))
+            row_ids, values = machine.vinter_rows(a, empty, ("bcol", 0))
+            assert row_ids.size == values.size == 0
+            assert machine.trace.num_ops == 0
+        machine.intersect_count(a, np.array([2], dtype=np.int64))
+        trace = machine.trace.freeze()
+        return trace.cpu_mem[0], trace.sc_mem[0]
+
+    charged = first_op_charges(True)
+    assert charged == first_op_charges(False)
+    assert charged[0] > 0 and charged[1] > 0

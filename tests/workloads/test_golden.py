@@ -54,18 +54,39 @@ def _golden(name):
 
 
 class _EagerTrace(Trace):
-    """The eager reference trace behind Machine's ``add_op_keys`` call."""
+    """The eager reference trace behind Machine's ``add_op_keys`` and
+    ``add_op_block`` calls: it resolves the machine's access log before
+    every op, so each op's charges are summed as it is recorded."""
 
-    __slots__ = ("_width",)
+    __slots__ = ("_width", "resolve_charges")
 
     def __init__(self, name="trace", *, width):
         super().__init__(name)
         self._width = width
+        self.resolve_charges = None
 
-    def add_op_keys(self, kind, a_keys, b_keys, bound=UNBOUNDED,
-                    **charges):
+    def add_op_keys(self, kind, a_keys, b_keys, bound=UNBOUNDED, *,
+                    cpu_mem=0.0, sc_mem=0.0, charges=(), **rest):
+        self.resolve_charges()
+        for charge in charges:
+            cpu_mem += charge.cpu
+            sc_mem += charge.sc
         self.add_op(kind, analyze_pair(a_keys, b_keys, bound,
-                                       width=self._width), **charges)
+                                       width=self._width),
+                    cpu_mem=cpu_mem, sc_mem=sc_mem, **rest)
+
+    def add_op_block(self, kind, a_keys, b_keys, b_sizes, *, burst,
+                     flop_pairs, charge, lead=()):
+        self.resolve_charges()
+        end = 0
+        for i, (size, flops) in enumerate(zip(b_sizes.tolist(),
+                                              flop_pairs.tolist())):
+            self.add_op_keys(kind, a_keys, b_keys[end:end + size],
+                             burst=burst, flop_pairs=flops,
+                             cpu_mem=float(charge.cpu[i]),
+                             sc_mem=float(charge.sc[i]),
+                             charges=lead if i == 0 else ())
+            end += size
 
 
 def _small_compact_trace(name="trace", *, width):
